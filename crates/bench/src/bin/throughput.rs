@@ -14,27 +14,26 @@
 //! in-process bench; fabric-scale measurements share the schema) so a
 //! result file is interpretable without knowing the machine.
 //!
-//! With `--diff-oracle` the binary instead measures the overhead of
-//! the abstract-vs-concrete differential oracle (Indicator #3):
-//! a paired 1-worker run with the oracle off and on — same seed, same
-//! iterations — reporting the slowdown from snapshot export, trace
-//! recording, and the membership check, next to the committed 1-core
-//! baseline rate (`bench_results/throughput_baseline_1core.json`) for
-//! cross-run context. Results go to `bench_results/throughput_diff.json`.
-//!
-//! With `--san-diff` it measures the overhead of the sanitizer
-//! self-validation oracle (`bvf-sancheck`) the same way: a paired
-//! 1-worker run with dual execution off and on. Every accepted program
-//! runs twice (sanitized and unsanitized) plus the comparator, so the
-//! expected slowdown is bounded by ~2x plus comparison cost. Results go
-//! to `bench_results/throughput_san.json`; `--check-regression PCT`
-//! compares the dual-run rate against the committed 1-core baseline
-//! (`bench_results/throughput_san_1core.json`).
+//! With `--diff-oracle` or `--san-diff` the binary instead measures an
+//! oracle's overhead: a paired 1-worker run on the defect-free kernel
+//! with the oracle off and on — same seed, same iterations, same
+//! backend. `--diff-oracle` is the abstract-vs-concrete differential
+//! oracle (Indicator #3: snapshot export, trace recording, and the
+//! membership check); results go to `bench_results/throughput_diff.json`.
+//! `--san-diff` is the sanitizer self-validation oracle (`bvf-sancheck`):
+//! every accepted program runs twice (sanitized and unsanitized) plus
+//! the comparator, so the expected slowdown is bounded by ~2x plus
+//! comparison cost; results go to `bench_results/throughput_san.json`,
+//! and `--check-regression PCT` compares the slowdown against the
+//! committed 1-core baseline of the same backend
+//! (`bench_results/throughput_san_1core.json`; a baseline without a
+//! `backend` field was measured on interp).
 //!
 //! `--backend interp|compiled` selects the execution engine for the
-//! campaign-throughput rows (default interp, so the long-lived
-//! `throughput_baseline_1core.json` series stays comparable; the
-//! compiled series lives in `throughput_compiled_1core.json`). Rows
+//! campaign-throughput rows and the paired overhead modes (default
+//! interp, so the long-lived `throughput_baseline_1core.json` series
+//! stays comparable; the compiled series lives in
+//! `throughput_compiled_1core.json`). Rows
 //! whose worker count exceeds `available_parallelism` are tagged
 //! `oversubscribed: true` in the JSON and never feed
 //! `--check-regression` — a time-sliced rate measures the scheduler,
@@ -59,33 +58,28 @@ use std::time::Instant;
 
 use bvf::baseline::GeneratorKind;
 use bvf::fuzz::CampaignConfig;
-use bvf_bench::{arg_flag, arg_usize, render_table, save_json};
+use bvf_bench::{arg_flag, arg_usize, arg_value, invalid_value, render_table, save_json};
 use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_runtime::Backend;
 
+/// `--workers 1,2,4`: every entry must be a worker count of at least 1.
 fn arg_worker_list(default: &[usize]) -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .map(|spec| {
-            spec.split(',')
-                .filter_map(|p| p.parse().ok())
-                .filter(|&w| w >= 1)
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
+    match arg_value("--workers") {
+        None => default.to_vec(),
+        Some(spec) => spec
+            .split(',')
+            .map(|p| match p.parse() {
+                Ok(w) if w >= 1 => w,
+                _ => invalid_value("--workers", &spec),
+            })
+            .collect(),
+    }
 }
 
 fn arg_backend() -> Backend {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-    {
+    match arg_value("--backend") {
         None => Backend::Interp,
-        Some(spec) => Backend::from_name(spec).unwrap_or_else(|| {
+        Some(spec) => Backend::from_name(&spec).unwrap_or_else(|| {
             eprintln!("unknown backend {spec:?}; known: interp, compiled");
             std::process::exit(2);
         }),
@@ -115,107 +109,84 @@ fn committed_baseline_rate(backend: Backend) -> Option<f64> {
         .as_f64()
 }
 
-/// `--diff-oracle` mode: paired 1-worker runs, oracle off vs on.
-fn diff_overhead(iters: usize, seed: u64, quick: bool) {
-    let pcfg = ParallelConfig::new(1);
-    let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, iters, seed);
-    // Overhead is measured on the fixed kernel: with defects injected
-    // the oracle would also spend time on real divergences and triage,
-    // conflating detection cost with per-instruction checking cost.
-    cfg.bugs = bvf_kernel_sim::BugSet::none();
-    let off = run_sharded(&cfg, &pcfg);
-    cfg.diff_oracle = true;
-    let on = run_sharded(&cfg, &pcfg);
-
-    let rate = |wall_ns: u64| iters as f64 / (wall_ns as f64 / 1e9);
-    let rate_off = rate(off.wall_ns);
-    let rate_on = rate(on.wall_ns);
-    let slowdown = on.wall_ns as f64 / off.wall_ns as f64;
-    let d = &on.result.diff;
-
-    let mut rows = vec![
-        vec![
-            "off".to_string(),
-            format!("{rate_off:.0}"),
-            "1.00x".to_string(),
-            "-".to_string(),
-        ],
-        vec![
-            "on".to_string(),
-            format!("{rate_on:.0}"),
-            format!("{slowdown:.2}x"),
-            format!("{} steps / {} regs", d.steps_checked, d.regs_checked),
-        ],
-    ];
-    let baseline = committed_baseline_rate(Backend::Interp);
-    if let Some(b) = baseline {
-        rows.push(vec![
-            "committed 1-core baseline".to_string(),
-            format!("{b:.0}"),
-            "-".to_string(),
-            "oracle off, 20k iters".to_string(),
-        ]);
-    }
-
-    println!("\ndifferential-oracle overhead ({iters} iterations, 1 worker)\n");
-    println!(
-        "{}",
-        render_table(&["Oracle", "Execs/sec", "Wall ratio", "Checked"], &rows)
-    );
-    assert_eq!(
-        d.divergences, 0,
-        "clean kernel must not diverge during the overhead run"
-    );
-
-    save_json(
-        "throughput_diff.json",
-        &serde_json::json!({
-            "iters": iters,
-            "seed": seed,
-            "quick": quick,
-            "execs_per_sec_off": rate_off,
-            "execs_per_sec_on": rate_on,
-            "wall_ns_off": off.wall_ns,
-            "wall_ns_on": on.wall_ns,
-            "slowdown": slowdown,
-            "steps_checked": d.steps_checked,
-            "regs_checked": d.regs_checked,
-            "steps_skipped_emitted": d.steps_skipped_emitted,
-            "divergences": d.divergences,
-            "committed_baseline_execs_per_sec": baseline,
-        }),
-    );
+/// The oracle a paired overhead run toggles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Oracle {
+    /// `--diff-oracle`: the abstract-vs-concrete differential oracle.
+    Diff,
+    /// `--san-diff`: the sanitizer self-validation dual run.
+    San,
 }
 
-/// The committed san-diff baseline's (dual-run rate, slowdown), if
-/// readable.
-fn committed_san_baseline() -> Option<(f64, f64)> {
+/// The committed san-diff baseline's (dual-run rate, slowdown) on
+/// `backend`, if readable.
+fn committed_san_baseline(backend: Backend) -> Option<(f64, f64)> {
     let text = std::fs::read_to_string("bench_results/throughput_san_1core.json").ok()?;
     let v: serde_json::Value = serde_json::from_str(&text).ok()?;
+    let measured_on = v
+        .get("backend")
+        .and_then(|b| b.as_str())
+        .unwrap_or("interp");
+    if measured_on != backend.name() {
+        return None;
+    }
     Some((
         v.get("execs_per_sec_on")?.as_f64()?,
         v.get("slowdown")?.as_f64()?,
     ))
 }
 
-/// `--san-diff` mode: paired 1-worker runs, dual-execution oracle off
-/// vs on.
-fn san_overhead(iters: usize, seed: u64, quick: bool, max_regression_pct: usize) {
+/// `--diff-oracle` / `--san-diff` mode: paired 1-worker runs, the oracle
+/// off vs on.
+fn oracle_overhead(
+    oracle: Oracle,
+    backend: Backend,
+    iters: usize,
+    seed: u64,
+    quick: bool,
+    max_regression_pct: usize,
+) {
     let pcfg = ParallelConfig::new(1);
     let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, iters, seed);
     // Overhead is measured on the defect-free kernel and sanitizer:
     // injected defects would add divergence handling and triage to the
-    // per-iteration cost.
+    // per-iteration cost, conflating detection cost with checking cost.
     cfg.bugs = bvf_kernel_sim::BugSet::none();
+    cfg.backend = backend;
     let off = run_sharded(&cfg, &pcfg);
-    cfg.san_diff = true;
+    match oracle {
+        Oracle::Diff => cfg.diff_oracle = true,
+        Oracle::San => cfg.san_diff = true,
+    }
     let on = run_sharded(&cfg, &pcfg);
 
     let rate = |wall_ns: u64| iters as f64 / (wall_ns as f64 / 1e9);
     let rate_off = rate(off.wall_ns);
     let rate_on = rate(on.wall_ns);
     let slowdown = on.wall_ns as f64 / off.wall_ns as f64;
-    let san = &on.result.san;
+    let (d, san) = (&on.result.diff, &on.result.san);
+    let (title, column, file, checked, divergences, counters) = match oracle {
+        Oracle::Diff => (
+            "differential-oracle",
+            "Oracle",
+            "throughput_diff.json",
+            format!("{} steps / {} regs", d.steps_checked, d.regs_checked),
+            d.divergences,
+            serde_json::json!({
+                "steps_checked": d.steps_checked,
+                "regs_checked": d.regs_checked,
+                "steps_skipped_emitted": d.steps_skipped_emitted,
+            }),
+        ),
+        Oracle::San => (
+            "sancheck dual-execution",
+            "San diff",
+            "throughput_san.json",
+            format!("{} dual runs", san.runs),
+            san.divergences,
+            serde_json::json!({ "dual_runs": san.runs }),
+        ),
+    };
 
     let mut rows = vec![
         vec![
@@ -228,55 +199,64 @@ fn san_overhead(iters: usize, seed: u64, quick: bool, max_regression_pct: usize)
             "on".to_string(),
             format!("{rate_on:.0}"),
             format!("{slowdown:.2}x"),
-            format!("{} dual runs", san.runs),
+            checked,
         ],
     ];
-    let baseline = committed_san_baseline();
+    let baseline = match oracle {
+        Oracle::Diff => None,
+        Oracle::San => committed_san_baseline(backend),
+    };
     if let Some((b_rate, b_slowdown)) = baseline {
         rows.push(vec![
             "committed 1-core baseline".to_string(),
             format!("{b_rate:.0}"),
             format!("{b_slowdown:.2}x"),
-            "dual runs on".to_string(),
+            "oracle on".to_string(),
         ]);
     }
 
-    println!("\nsancheck dual-execution overhead ({iters} iterations, 1 worker)\n");
+    println!(
+        "\n{title} overhead ({iters} iterations, 1 worker, {} backend)\n",
+        backend.name()
+    );
     println!(
         "{}",
-        render_table(&["San diff", "Execs/sec", "Wall ratio", "Checked"], &rows)
+        render_table(&[column, "Execs/sec", "Wall ratio", "Checked"], &rows)
     );
     assert_eq!(
-        san.divergences, 0,
-        "defect-free sanitizer must not diverge during the overhead run"
+        divergences, 0,
+        "defect-free kernel and sanitizer must not diverge during the overhead run"
     );
 
-    save_json(
-        "throughput_san.json",
-        &serde_json::json!({
-            "iters": iters,
-            "seed": seed,
-            "quick": quick,
-            "execs_per_sec_off": rate_off,
-            "execs_per_sec_on": rate_on,
-            "wall_ns_off": off.wall_ns,
-            "wall_ns_on": on.wall_ns,
-            "slowdown": slowdown,
-            "dual_runs": san.runs,
-            "divergences": san.divergences,
-            "committed_baseline_execs_per_sec": baseline.map(|(r, _)| r),
-            "committed_baseline_slowdown": baseline.map(|(_, s)| s),
-        }),
-    );
+    let mut doc = serde_json::json!({
+        "iters": iters,
+        "seed": seed,
+        "quick": quick,
+        "backend": backend.name(),
+        "execs_per_sec_off": rate_off,
+        "execs_per_sec_on": rate_on,
+        "wall_ns_off": off.wall_ns,
+        "wall_ns_on": on.wall_ns,
+        "slowdown": slowdown,
+        "divergences": divergences,
+        "committed_baseline_execs_per_sec": baseline.map(|(r, _)| r),
+        "committed_baseline_slowdown": baseline.map(|(_, s)| s),
+    });
+    if let (serde_json::Value::Object(doc), serde_json::Value::Object(extra)) = (&mut doc, counters)
+    {
+        doc.extend(extra);
+    }
+    save_json(file, &doc);
 
-    // The gate compares the *overhead ratio* (dual-run wall / single-run
+    // The gate compares the *overhead ratio* (oracle-on wall / oracle-off
     // wall), not the absolute rate: the slowdown is stable across
     // iteration counts and host speeds, while execs/sec is neither.
     if max_regression_pct > 0 {
         let (_, base_slowdown) = baseline.unwrap_or_else(|| {
             eprintln!(
-                "--check-regression needs a readable \
-                 bench_results/throughput_san_1core.json"
+                "--check-regression needs a readable {} baseline \
+                 (bench_results/throughput_san_1core.json) for --san-diff",
+                backend.name()
             );
             std::process::exit(2);
         });
@@ -284,7 +264,7 @@ fn san_overhead(iters: usize, seed: u64, quick: bool, max_regression_pct: usize)
         let ceiling = 1.0 + max_regression_pct as f64 / 100.0;
         assert!(
             ratio <= ceiling,
-            "san-diff overhead regressed beyond {max_regression_pct}%: \
+            "{title} overhead regressed beyond {max_regression_pct}%: \
              slowdown {slowdown:.2}x vs committed {base_slowdown:.2}x \
              ({ratio:.2}x, ceiling {ceiling:.2}x)"
         );
@@ -465,13 +445,12 @@ fn main() {
     // committed 1-core baseline and fail if it dropped more than PCT
     // percent. 0 disables the check (the default).
     let max_regression_pct = arg_usize("--check-regression", 0);
-    if arg_flag("--diff-oracle") {
-        diff_overhead(iters, seed, quick);
-        return;
-    }
-    if arg_flag("--san-diff") {
-        san_overhead(iters, seed, quick, max_regression_pct);
-        return;
+    let backend = arg_backend();
+    for (flag, oracle) in [("--diff-oracle", Oracle::Diff), ("--san-diff", Oracle::San)] {
+        if arg_flag(flag) {
+            oracle_overhead(oracle, backend, iters, seed, quick, max_regression_pct);
+            return;
+        }
     }
     if arg_flag("--exec-micro") {
         let execs = arg_usize("--execs", if quick { 2_000 } else { 10_000 });
@@ -479,7 +458,6 @@ fn main() {
         return;
     }
     let workers = arg_worker_list(if quick { &[1, 2] } else { &[1, 2, 4, 8] });
-    let backend = arg_backend();
 
     let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, iters, seed);
     cfg.backend = backend;

@@ -4,7 +4,6 @@
 //! paper's evaluation (see `DESIGN.md` for the experiment index). The
 //! helpers here format tables and persist machine-readable results.
 
-use std::io::Write;
 use std::path::Path;
 
 use bvf::fuzz::{run_campaign_with_telemetry, CampaignConfig, CampaignResult};
@@ -55,25 +54,39 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes a JSON results file under `bench_results/`.
+/// Writes a JSON results file under `bench_results/`, exiting 1 if it
+/// cannot: a bench run whose results silently vanish has failed.
 pub fn save_json(name: &str, value: &serde_json::Value) {
     let dir = Path::new("bench_results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
+    let path = dir.join(name);
+    let json = serde_json::to_string_pretty(value).unwrap();
+    let written =
+        std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, format!("{json}\n")));
+    if let Err(e) = written {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
     }
-    if let Ok(mut f) = std::fs::File::create(dir.join(name)) {
-        let _ = writeln!(f, "{}", serde_json::to_string_pretty(value).unwrap());
-    }
+}
+
+/// The argv value following flag `name`, if present.
+pub fn arg_value(name: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != name);
+    args.next()?;
+    args.next()
+}
+
+/// Exits 2 with a usage error for flag `name`'s unparsable value: a
+/// mistyped number must not silently fall back to a default.
+pub fn invalid_value(name: &str, value: &str) -> ! {
+    eprintln!("invalid value for {name}: {value:?}");
+    std::process::exit(2)
 }
 
 /// Parses `--iters N` / `--seeds N` style overrides from argv.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    arg_value(name).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| invalid_value(name, &v))
+    })
 }
 
 /// Whether a bare flag is present.

@@ -1,0 +1,98 @@
+//! Command-line contract of the `bvf` binary: bad flag values fail
+//! loudly, and a finding replays and minimizes under the same oracle
+//! flags as the campaign that found it.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn bvf(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bvf"))
+        .args(args)
+        .output()
+        .expect("bvf binary runs")
+}
+
+fn fixture(name: &str) -> String {
+    format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = bvf(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+#[test]
+fn unparsable_numeric_flags_exit_2() {
+    // `--iters 2k` once ran 5000 iterations and `--seed x` seed 1.
+    assert_usage_error(&["fuzz", "--iters", "2k"], "invalid value for --iters");
+    assert_usage_error(
+        &["fuzz", "--iters", "10", "--seed", "x"],
+        "invalid value for --seed",
+    );
+    assert_usage_error(
+        &["fuzz", "--iters", "10", "--batch-len", "-1"],
+        "invalid value for --batch-len",
+    );
+    assert_usage_error(
+        &[
+            "minimize",
+            &fixture("indicator3_or_bounds.json"),
+            "--jobs",
+            "two",
+        ],
+        "invalid value for --jobs",
+    );
+}
+
+#[test]
+fn no_sanitize_conflicts_with_san_diff() {
+    // The dual run is sanitized, then unsanitized: `--no-sanitize` used
+    // to be ignored silently.
+    for cmd in ["fuzz", "replay"] {
+        let mut args = vec![cmd];
+        let path = fixture("indicator3_or_bounds.json");
+        if cmd == "replay" {
+            args.push(&path);
+        }
+        args.extend(["--iters", "10", "--no-sanitize", "--san-diff"]);
+        assert_usage_error(&args, "--no-sanitize conflicts with --san-diff");
+    }
+}
+
+#[test]
+fn replay_and_minimize_arm_both_oracles_together() {
+    // `bvf fuzz --san-diff --diff-oracle` arms both oracles, so its
+    // Indicator #3 findings must reproduce under the same two flags.
+    let path = fixture("indicator3_or_bounds.json");
+    let out = bvf(&["replay", &path, "--san-diff", "--diff-oracle"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("signature: Three:statediv:r3"), "{stdout}");
+    assert!(stdout.contains("sancheck: 1 dual runs"), "{stdout}");
+    assert!(stdout.contains("culprits: [BoundsRefinement]"), "{stdout}");
+
+    let min: PathBuf =
+        std::env::temp_dir().join(format!("bvf-cli-{}.min.json", std::process::id()));
+    let min_str = min.to_str().expect("utf-8 temp path");
+    let out = bvf(&[
+        "minimize",
+        &path,
+        "--san-diff",
+        "--diff-oracle",
+        "--out",
+        min_str,
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("signature: Three:statediv:r3"), "{stdout}");
+    let out = bvf(&["replay", min_str, "--san-diff", "--diff-oracle"]);
+    let _ = std::fs::remove_file(&min);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("signature: Three:statediv:r3"), "{stdout}");
+}

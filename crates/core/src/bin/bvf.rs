@@ -61,7 +61,15 @@
 //! counts, exec hashes, and oracle verdicts are byte-identical across
 //! backends, so the flag is a throughput knob, never a result knob.
 //! One-shot `replay`/`minimize`/`sancheck` default to `interp`, where
-//! compiling a program run once would be pure overhead.
+//! compiling a program run once would be pure overhead. Triage replays
+//! run on the same backend as the command that triggers them.
+//!
+//! `fuzz`, `corpus export`, `replay` and `minimize` read the scenario-run
+//! flags (`--bugs`, `--version`, `--no-sanitize`, `--diff-oracle`,
+//! `--san-diff`, `--san-defect`, `--backend`) through one parser, so a
+//! finding replays and minimizes with the flags of the campaign that
+//! found it. `--no-sanitize` with `--san-diff` is an error: the dual run
+//! is sanitized, then unsanitized, by definition.
 //!
 //! `--workers N` runs the campaign's lease batches across N
 //! work-stealing threads (0 = one per available CPU) with merged
@@ -104,12 +112,10 @@ use bvf::corpus::CorpusSnapshot;
 use bvf::fuzz::{
     report_signature, run_campaign_with_telemetry, CampaignConfig, CampaignResult, FindingRecord,
 };
-use bvf::minimize::{minimize_finding_jobs, minimize_finding_san};
-use bvf::oracle::{judge, triage_san_defects, triage_with_defects};
+use bvf::minimize::minimize;
+use bvf::oracle::{judge, triage, triage_san_defects};
 use bvf::sanmatrix::run_matrix;
-use bvf::scenario::{
-    run_scenario_backend, run_scenario_diff_backend, run_scenario_san_diff_backend, Scenario,
-};
+use bvf::scenario::{run, RunConfig, Sanitation, Scenario};
 use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
@@ -318,53 +324,78 @@ fn load_snapshot(path: &str) -> CorpusSnapshot {
     })
 }
 
+/// Builds a [`RunConfig`] from the scenario-run flags shared by `fuzz`,
+/// `corpus export`, `replay` and `minimize`: `--bugs`, `--version`,
+/// `--no-sanitize`, `--san-diff`, `--san-defect`, `--diff-oracle` and
+/// `--backend` (`default_backend` when absent).
+fn run_config(args: &Args, default_backend: Backend) -> RunConfig {
+    let san_diff = args.flag("--san-diff");
+    let no_sanitize = args.flag("--no-sanitize");
+    if san_diff && no_sanitize {
+        eprintln!(
+            "--no-sanitize conflicts with --san-diff (the dual-execution oracle runs \
+             sanitized, then unsanitized)"
+        );
+        exit(2);
+    }
+    let san_defects = args.opt("--san-defect").map(parse_san_defects);
+    if san_defects.is_some() && !san_diff {
+        eprintln!(
+            "--san-defect requires --san-diff (defects only matter to the dual-execution oracle)"
+        );
+        exit(2);
+    }
+    RunConfig {
+        bugs: args.opt("--bugs").map_or_else(BugSet::all, parse_bugs),
+        version: args
+            .opt("--version")
+            .map_or(KernelVersion::BpfNext, parse_version),
+        sanitation: if san_diff {
+            Sanitation::Dual(san_defects.unwrap_or_default())
+        } else if no_sanitize {
+            Sanitation::Off
+        } else {
+            Sanitation::On
+        },
+        diff_oracle: args.flag("--diff-oracle"),
+        prune_index: true,
+        backend: parse_backend(args, default_backend),
+    }
+}
+
 /// Builds a [`CampaignConfig`] from the `fuzz`-family flags (shared by
 /// `bvf fuzz` and `bvf corpus export`).
 fn campaign_config(args: &Args) -> CampaignConfig {
-    let iters: usize = args
-        .opt("--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5000);
-    let seed: u64 = args.opt("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
     let mut cfg = CampaignConfig::new(
         args.opt("--generator")
             .map(parse_generator)
             .unwrap_or(GeneratorKind::Bvf),
-        iters,
-        seed,
+        args.parsed("--iters").unwrap_or(5000),
+        args.parsed("--seed").unwrap_or(1),
     );
-    cfg.bugs = args
-        .opt("--bugs")
-        .map(parse_bugs)
-        .unwrap_or_else(BugSet::all);
-    cfg.version = args
-        .opt("--version")
-        .map(parse_version)
-        .unwrap_or(KernelVersion::BpfNext);
-    cfg.sanitize = !args.flag("--no-sanitize");
+    let run = run_config(args, Backend::Compiled);
+    cfg.bugs = run.bugs;
+    cfg.version = run.version;
+    cfg.sanitize = run.sanitation != Sanitation::Off;
+    if let Sanitation::Dual(defects) = run.sanitation {
+        cfg.san_diff = true;
+        cfg.san_defects = defects;
+    }
+    cfg.diff_oracle = run.diff_oracle;
+    cfg.backend = run.backend;
     cfg.triage = !args.flag("--no-triage");
     cfg.feedback = !args.flag("--no-feedback");
-    cfg.diff_oracle = args.flag("--diff-oracle");
     cfg.steer = args.flag("--steer");
-    cfg.san_diff = args.flag("--san-diff");
-    cfg.backend = parse_backend(args, Backend::Compiled);
-    if let Some(spec) = args.opt("--san-defect") {
-        cfg.san_defects = parse_san_defects(spec);
-        if !cfg.san_diff {
-            eprintln!("--san-defect requires --san-diff (defects only matter to the dual-execution oracle)");
-            exit(2);
-        }
-    }
-    if let Some(n) = args.opt("--snapshot-every").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--snapshot-every") {
         cfg.snapshot_every = std::cmp::max(n, 1);
     }
-    if let Some(n) = args.opt("--batch-len").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--batch-len") {
         cfg.batch_len = std::cmp::max(n, 1);
     }
-    if let Some(n) = args.opt("--exchange-every").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--exchange-every") {
         cfg.exchange_every = n;
     }
-    if let Some(n) = args.opt("--exchange-batch").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--exchange-batch") {
         cfg.exchange_batch = n;
     }
     if let Some(path) = args.opt("--corpus-in") {
@@ -374,7 +405,7 @@ fn campaign_config(args: &Args) -> CampaignConfig {
 }
 
 fn parse_workers(args: &Args) -> usize {
-    match args.opt("--workers").and_then(|v| v.parse::<usize>().ok()) {
+    match args.parsed::<usize>("--workers") {
         Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
         Some(n) => n,
         None => 1,
@@ -391,10 +422,7 @@ fn cmd_fuzz(args: &Args) {
     let workers = parse_workers(args);
     let corpus_out = args.opt("--corpus-out");
     let trace_path = args.opt("--trace-out");
-    let stats_every: usize = args
-        .opt("--stats-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or((iters / 100).max(1));
+    let stats_every: usize = args.parsed("--stats-every").unwrap_or((iters / 100).max(1));
 
     eprintln!(
         "fuzzing: {} iterations, generator {}, {} defects injected, sanitation {}{}",
@@ -417,7 +445,7 @@ fn cmd_fuzz(args: &Args) {
         pcfg.stats_every = stats_every;
         pcfg.trace = trace_path.is_some();
         pcfg.snapshot = corpus_out.is_some();
-        if let Some(s) = args.opt("--chaos").and_then(|v| v.parse().ok()) {
+        if let Some(s) = args.parsed("--chaos") {
             pcfg.chaos = s;
         }
         let outcome = run_sharded(&cfg, &pcfg);
@@ -749,27 +777,7 @@ fn load_scenario(path: &str) -> Scenario {
 
 fn cmd_replay(args: &Args, path: &str) {
     let scenario = load_scenario(path);
-    let bugs = args
-        .opt("--bugs")
-        .map(parse_bugs)
-        .unwrap_or_else(BugSet::all);
-    let version = args
-        .opt("--version")
-        .map(parse_version)
-        .unwrap_or(KernelVersion::BpfNext);
-    let sanitize = !args.flag("--no-sanitize");
-    let diff = args.flag("--diff-oracle");
-    let san_diff = args.flag("--san-diff");
-    let san_defects = args
-        .opt("--san-defect")
-        .map(parse_san_defects)
-        .unwrap_or_else(SanDefectSet::none);
-    if !san_defects.is_empty() && !san_diff {
-        eprintln!(
-            "--san-defect requires --san-diff (defects only matter to the dual-execution oracle)"
-        );
-        exit(2);
-    }
+    let cfg = run_config(args, Backend::Interp);
 
     println!(
         "program ({:?}, trigger {:?}):\n{}",
@@ -777,14 +785,7 @@ fn cmd_replay(args: &Args, path: &str) {
         scenario.trigger,
         scenario.prog.dump()
     );
-    let backend = parse_backend(args, Backend::Interp);
-    let out = if san_diff {
-        run_scenario_san_diff_backend(&scenario, &bugs, version, san_defects, backend)
-    } else if diff {
-        run_scenario_diff_backend(&scenario, &bugs, version, sanitize, backend)
-    } else {
-        run_scenario_backend(&scenario, &bugs, version, sanitize, backend)
-    };
+    let out = run(&scenario, &cfg, None);
     match &out.load {
         Ok(_) => println!(
             "verifier: ACCEPTED ({} insns processed)",
@@ -798,13 +799,13 @@ fn cmd_replay(args: &Args, path: &str) {
     if let Some(h) = out.halt {
         println!("execution halted: {h:?}");
     }
-    if diff {
+    if cfg.diff_oracle {
         println!(
             "diff oracle: {} steps checked ({} regs), {} divergences",
             out.diff.steps_checked, out.diff.regs_checked, out.diff.divergences
         );
     }
-    if san_diff {
+    if let Sanitation::Dual(_) = cfg.sanitation {
         println!(
             "sancheck: {} dual runs, {} divergences",
             out.san.runs, out.san.divergences
@@ -819,15 +820,14 @@ fn cmd_replay(args: &Args, path: &str) {
         println!("\noracle: indicator {:?} triggered", f.indicator);
         println!("signature: {}", report_signature(f.indicator, &f.reports));
         println!("running triage...");
-        let culprits = triage_with_defects(&f, &bugs, version, sanitize, san_defects);
+        let culprits = triage(&f, &cfg);
         println!("culprits: {culprits:?}");
-        if san_diff
-            && !san_defects.is_empty()
+        if matches!(cfg.sanitation, Sanitation::Dual(d) if !d.is_empty())
             && f.reports
                 .iter()
                 .any(|r| matches!(r, KernelReport::SanitizerDivergence { .. }))
         {
-            let sd = triage_san_defects(&f, &bugs, version, san_defects);
+            let sd = triage_san_defects(&f, &cfg);
             println!(
                 "sanitizer-defect culprits: {:?}",
                 sd.iter().map(|d| d.name()).collect::<Vec<_>>()
@@ -840,45 +840,10 @@ fn cmd_replay(args: &Args, path: &str) {
 
 fn cmd_minimize(args: &Args, path: &str) {
     let scenario = load_scenario(path);
-    let bugs = args
-        .opt("--bugs")
-        .map(parse_bugs)
-        .unwrap_or_else(BugSet::all);
-    let version = args
-        .opt("--version")
-        .map(parse_version)
-        .unwrap_or(KernelVersion::BpfNext);
-    let sanitize = !args.flag("--no-sanitize");
-    let diff = args.flag("--diff-oracle");
-    let san_diff = args.flag("--san-diff");
-    let san_defects = args
-        .opt("--san-defect")
-        .map(parse_san_defects)
-        .unwrap_or_else(SanDefectSet::none);
-    if !san_defects.is_empty() && !san_diff {
-        eprintln!(
-            "--san-defect requires --san-diff (defects only matter to the dual-execution oracle)"
-        );
-        exit(2);
-    }
-    let jobs: usize = args
-        .opt("--jobs")
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("bad --jobs: {s}");
-                exit(2);
-            })
-        })
-        .unwrap_or(1)
-        .max(1);
+    let cfg = run_config(args, Backend::Interp);
+    let jobs: usize = args.parsed("--jobs").unwrap_or(1);
 
-    let backend = parse_backend(args, Backend::Interp);
-    let minimized = if san_diff {
-        minimize_finding_san(&scenario, &bugs, version, san_defects, jobs, backend)
-    } else {
-        minimize_finding_jobs(&scenario, &bugs, version, sanitize, diff, jobs, backend)
-    };
-    let out = match minimized {
+    let out = match minimize(&scenario, &cfg, jobs) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("cannot minimize: {e}");

@@ -52,8 +52,8 @@ use crate::gen::{GenConfig, StructuredGen};
 use bvf_diff::DiffStats;
 use bvf_sancheck::SanStats;
 
-use crate::oracle::{judge, triage_with_defects, Finding, Indicator};
-use crate::scenario::{run_scenario_san_diff_with, run_scenario_scratch, Scenario};
+use crate::oracle::{judge, triage, Finding, Indicator};
+use crate::scenario::{run, RunConfig, Sanitation, Scenario};
 
 /// Global cap on feedback-corpus retention (seed view + local additions).
 pub const CORPUS_CAP: usize = 4096;
@@ -161,6 +161,24 @@ impl CampaignConfig {
             san_diff: false,
             san_defects: SanDefectSet::none(),
             backend: Backend::Compiled,
+        }
+    }
+
+    /// The per-scenario [`RunConfig`] this campaign executes and triages
+    /// under. `san_diff` selects [`Sanitation::Dual`] with `san_defects`
+    /// armed; the dual run always sanitizes its first pass.
+    pub fn run_config(&self) -> RunConfig {
+        RunConfig {
+            bugs: self.bugs.clone(),
+            version: self.version,
+            sanitation: match (self.san_diff, self.sanitize) {
+                (true, _) => Sanitation::Dual(self.san_defects),
+                (false, true) => Sanitation::On,
+                (false, false) => Sanitation::Off,
+            },
+            diff_oracle: self.diff_oracle,
+            prune_index: self.prune_index,
+            backend: self.backend,
         }
     }
 }
@@ -802,6 +820,8 @@ impl BatchOutput {
 /// [`step`]: CampaignWorker::step
 pub struct CampaignWorker {
     cfg: CampaignConfig,
+    /// `cfg.run_config()`, derived once at lease time.
+    run: RunConfig,
     batch: usize,
     start: usize,
     len: usize,
@@ -868,6 +888,7 @@ impl CampaignWorker {
             len_sum: 0,
             diff: DiffStats::default(),
             san: SanStats::default(),
+            run: cfg.run_config(),
             cfg,
         }
     }
@@ -1007,29 +1028,7 @@ impl CampaignWorker {
             });
         }
 
-        let outcome = if cfg.san_diff {
-            run_scenario_san_diff_with(
-                &scenario,
-                &cfg.bugs,
-                cfg.version,
-                cfg.san_defects,
-                cfg.diff_oracle,
-                cfg.prune_index,
-                cfg.backend,
-                Some(scratch),
-            )
-        } else {
-            run_scenario_scratch(
-                &scenario,
-                &cfg.bugs,
-                cfg.version,
-                cfg.sanitize,
-                cfg.diff_oracle,
-                cfg.prune_index,
-                cfg.backend,
-                scratch,
-            )
-        };
+        let outcome = run(&scenario, &self.run, Some(scratch));
         if let Some(s) = shape {
             self.shape_stats.generated[s.index()] += 1;
         }
@@ -1150,13 +1149,7 @@ impl CampaignWorker {
                 let t0 = Instant::now();
                 let triaged = cfg.triage && claimed;
                 let culprits = if triaged {
-                    triage_with_defects(
-                        &finding,
-                        &cfg.bugs,
-                        cfg.version,
-                        cfg.sanitize,
-                        cfg.san_defects,
-                    )
+                    triage(&finding, &self.run)
                 } else {
                     Vec::new()
                 };
@@ -1287,15 +1280,10 @@ pub fn merge_batches(
             last_bucket = Some(bucket);
         }
     }
+    let run_cfg = cfg.run_config();
     for f in &mut findings {
         if cfg.triage && !f.triaged {
-            f.culprits = triage_with_defects(
-                &f.finding,
-                &cfg.bugs,
-                cfg.version,
-                cfg.sanitize,
-                cfg.san_defects,
-            );
+            f.culprits = triage(&f.finding, &run_cfg);
             f.triaged = true;
             stats.merge_triaged += 1;
         }

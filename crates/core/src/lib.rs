@@ -49,13 +49,7 @@ pub use fuzz::{
     CorpusLedger, MergeStats, ShapeStats,
 };
 pub use gen::{GenConfig, StructuredGen};
-pub use minimize::{minimize_finding, minimize_finding_san, MinimizeOutcome};
-pub use oracle::{
-    classify_report, judge, triage, triage_san_defects, triage_with_defects, Finding, Indicator,
-};
+pub use minimize::{minimize, MinimizeOutcome};
+pub use oracle::{classify_report, judge, triage, triage_san_defects, Finding, Indicator};
 pub use sanmatrix::{run_matrix, run_matrix_case, MatrixCaseResult, MatrixOutcome};
-pub use scenario::{
-    run_scenario, run_scenario_backend, run_scenario_diff, run_scenario_diff_backend,
-    run_scenario_san_diff, run_scenario_san_diff_backend, run_scenario_san_diff_with,
-    run_scenario_scratch, run_scenario_with, Scenario, ScenarioOutcome, Trigger,
-};
+pub use scenario::{run, RunConfig, Sanitation, Scenario, ScenarioOutcome, Trigger};

@@ -20,12 +20,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use bvf_kernel_sim::{BugId, BugSet, KernelReport, ReportOrigin, SanDefect, SanDefectSet};
-use bvf_verifier::KernelVersion;
+use bvf_kernel_sim::{BugId, KernelReport, ReportOrigin, SanDefect, SanDefectSet};
 
-use crate::scenario::{
-    run_scenario, run_scenario_diff, run_scenario_san_diff, Scenario, ScenarioOutcome,
-};
+use crate::scenario::{run, RunConfig, Sanitation, Scenario, ScenarioOutcome};
 
 /// The correctness-bug indicators (plus the syscall-level bucket for
 /// findings like bug #8 that are not program-behavior bugs).
@@ -111,69 +108,51 @@ pub fn judge(scenario: &Scenario, outcome: &ScenarioOutcome) -> Option<Finding> 
     })
 }
 
+fn is_san_divergence(report: &KernelReport) -> bool {
+    matches!(report, KernelReport::SanitizerDivergence { .. })
+}
+
 /// Differential triage: which enabled defects are necessary for this
 /// finding to manifest?
 ///
-/// For each enabled defect, replay the scenario with that defect patched;
-/// if the misbehavior disappears (no reports on an accepted program, or
-/// the program/attach is now rejected), the defect is a culprit.
-pub fn triage(
-    finding: &Finding,
-    enabled: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-) -> Vec<BugId> {
-    triage_with_defects(finding, enabled, version, sanitize, SanDefectSet::none())
-}
-
-/// [`triage`] for campaigns running the sanitizer self-check: findings
-/// whose reports contain a [`KernelReport::SanitizerDivergence`] only
-/// exist under the dual-execution oracle, so their replays go through
-/// [`run_scenario_san_diff`] with the campaign's injected sanitizer
-/// defects re-armed.
-pub fn triage_with_defects(
-    finding: &Finding,
-    enabled: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    san_defects: SanDefectSet,
-) -> Vec<BugId> {
-    let diff = finding.indicator == Indicator::Three;
-    let san = finding
-        .reports
-        .iter()
-        .any(|r| matches!(r, KernelReport::SanitizerDivergence { .. }));
+/// For each defect enabled in `cfg.bugs`, replay the scenario with that
+/// defect patched; if the misbehavior disappears (no reports on an
+/// accepted program, or the program/attach is now rejected), the defect
+/// is a culprit.
+///
+/// Replays run on `cfg`'s version, backend and prune index, in the mode
+/// the finding needs: a sanitizer-divergence finding only exists under
+/// [`Sanitation::Dual`] (with `cfg`'s armed sanitizer defects), and an
+/// Indicator #3 finding only under the differential oracle; any other
+/// finding replays with neither. What must disappear is then
+/// specifically the divergence, not any incidental report.
+pub fn triage(finding: &Finding, cfg: &RunConfig) -> Vec<BugId> {
+    let san = finding.reports.iter().any(is_san_divergence);
+    let diff = !san && finding.indicator == Indicator::Three;
+    let mut replay = cfg.clone();
+    replay.diff_oracle = diff;
+    replay.sanitation = match (san, cfg.sanitation) {
+        (true, Sanitation::Dual(defects)) => Sanitation::Dual(defects),
+        (true, _) => Sanitation::Dual(SanDefectSet::none()),
+        (false, Sanitation::Dual(_)) => Sanitation::On,
+        (false, single) => single,
+    };
     let mut culprits = Vec::new();
-    for bug in enabled.iter() {
-        let mut patched = enabled.clone();
-        patched.disable(bug);
-        // An Indicator #3 finding only exists under the differential
-        // oracle, so its replays must re-arm it — and what must
-        // disappear is specifically the state divergence, not any
-        // incidental report. Likewise a sanitizer-divergence finding
-        // must be replayed under the dual-execution oracle.
-        let outcome = if san {
-            run_scenario_san_diff(&finding.scenario, &patched, version, san_defects)
-        } else if diff {
-            run_scenario_diff(&finding.scenario, &patched, version, sanitize)
-        } else {
-            run_scenario(&finding.scenario, &patched, version, sanitize)
-        };
-        let still_finds = if san {
-            outcome.accepted()
-                && outcome
-                    .reports
-                    .iter()
-                    .any(|r| matches!(r, KernelReport::SanitizerDivergence { .. }))
-        } else if diff {
-            outcome.accepted()
-                && outcome
+    for bug in cfg.bugs.iter() {
+        replay.bugs = cfg.bugs.clone();
+        replay.bugs.disable(bug);
+        let outcome = run(&finding.scenario, &replay, None);
+        let still_finds = outcome.accepted()
+            && if san {
+                outcome.reports.iter().any(is_san_divergence)
+            } else if diff {
+                outcome
                     .reports
                     .iter()
                     .any(|r| matches!(r, KernelReport::StateDivergence { .. }))
-        } else {
-            outcome.accepted() && !outcome.reports.is_empty()
-        };
+            } else {
+                !outcome.reports.is_empty()
+            };
         if !still_finds {
             culprits.push(bug);
         }
@@ -181,40 +160,37 @@ pub fn triage_with_defects(
     culprits
 }
 
-/// Triage over the *sanitizer-defect* axis: for each armed sanitizer
-/// defect, replay the dual-execution scenario with that defect healed;
-/// the defects whose removal flips the divergence verdict are the ones
-/// the finding depends on. This is the sancheck analogue of kernel-bug
-/// triage — it answers "which seeded sanitizer bug did this reproducer
-/// actually catch?".
-pub fn triage_san_defects(
-    finding: &Finding,
-    bugs: &BugSet,
-    version: KernelVersion,
-    armed: SanDefectSet,
-) -> Vec<SanDefect> {
-    let diverged = |outcome: &ScenarioOutcome| {
-        outcome
+/// Triage over the *sanitizer-defect* axis: for each sanitizer defect
+/// `cfg` arms under [`Sanitation::Dual`], replay the dual-execution
+/// scenario with that defect healed; the defects whose removal flips the
+/// divergence verdict are the ones the finding depends on. This is the
+/// sancheck analogue of kernel-bug triage — it answers "which seeded
+/// sanitizer bug did this reproducer actually catch?". Empty when `cfg`
+/// is not a dual run.
+pub fn triage_san_defects(finding: &Finding, cfg: &RunConfig) -> Vec<SanDefect> {
+    let Sanitation::Dual(armed) = cfg.sanitation else {
+        return Vec::new();
+    };
+    let diverged = |defects: SanDefectSet| {
+        let replay = RunConfig {
+            sanitation: Sanitation::Dual(defects),
+            diff_oracle: false,
+            ..cfg.clone()
+        };
+        run(&finding.scenario, &replay, None)
             .reports
             .iter()
-            .any(|r| matches!(r, KernelReport::SanitizerDivergence { .. }))
+            .any(is_san_divergence)
     };
-    let baseline = diverged(&run_scenario_san_diff(
-        &finding.scenario,
-        bugs,
-        version,
-        armed,
-    ));
-    let mut culprits = Vec::new();
-    for defect in armed.iter() {
-        let mut healed = armed;
-        healed.disable(defect);
-        let outcome = run_scenario_san_diff(&finding.scenario, bugs, version, healed);
-        if diverged(&outcome) != baseline {
-            culprits.push(defect);
-        }
-    }
-    culprits
+    let baseline = diverged(armed);
+    armed
+        .iter()
+        .filter(|&defect| {
+            let mut healed = armed;
+            healed.disable(defect);
+            diverged(healed) != baseline
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -224,6 +200,7 @@ mod tests {
     use bvf_kernel_sim::btf::ids as btf_ids;
     use bvf_kernel_sim::helpers::proto::ids as helper;
     use bvf_kernel_sim::progtype::ProgType;
+    use bvf_kernel_sim::BugSet;
     use bvf_kernel_sim::KasanKind;
 
     #[test]
@@ -267,19 +244,19 @@ mod tests {
 
     #[test]
     fn judge_and_triage_bug1() {
-        let bugs = BugSet::all();
+        let cfg = RunConfig::new(BugSet::all());
         let s = bug1_scenario();
-        let out = run_scenario(&s, &bugs, KernelVersion::BpfNext, true);
+        let out = run(&s, &cfg, None);
         let finding = judge(&s, &out).expect("bug1 program must be flagged");
         assert_eq!(finding.indicator, Indicator::One);
-        let culprits = triage(&finding, &bugs, KernelVersion::BpfNext, true);
+        let culprits = triage(&finding, &cfg);
         assert_eq!(culprits, vec![BugId::NullnessPropagation]);
     }
 
     #[test]
     fn judge_ignores_rejected_programs() {
         let s = bug1_scenario();
-        let out = run_scenario(&s, &BugSet::none(), KernelVersion::BpfNext, true);
+        let out = run(&s, &RunConfig::new(BugSet::none()), None);
         assert!(!out.accepted());
         assert!(judge(&s, &out).is_none());
     }
@@ -290,7 +267,7 @@ mod tests {
             Program::from_insns(vec![asm::mov64_imm(Reg::R0, 0), asm::exit()]),
             ProgType::SocketFilter,
         );
-        let out = run_scenario(&s, &BugSet::all(), KernelVersion::BpfNext, true);
+        let out = run(&s, &RunConfig::new(BugSet::all()), None);
         assert!(out.accepted());
         assert!(judge(&s, &out).is_none());
     }

@@ -22,7 +22,7 @@ use bvf_runtime::Backend;
 use bvf_sancheck::{matrix_cases, MatrixCase};
 use bvf_verifier::KernelVersion;
 
-use crate::scenario::{run_scenario_san_diff_backend, Scenario, ScenarioOutcome, Trigger};
+use crate::scenario::{run, RunConfig, Sanitation, Scenario, ScenarioOutcome, Trigger};
 
 /// The outcome of one matrix case.
 #[derive(Debug, Clone)]
@@ -90,6 +90,17 @@ pub fn case_scenario(case: &MatrixCase) -> Scenario {
     }
 }
 
+/// The dual-run configuration of one matrix case with its defect armed,
+/// on `backend` unless the case pins its own.
+fn case_config(case: &MatrixCase, version: KernelVersion, backend: Backend) -> RunConfig {
+    RunConfig {
+        version,
+        sanitation: Sanitation::Dual(SanDefectSet::only(case.defect)),
+        backend: case.backend.unwrap_or(backend),
+        ..RunConfig::new(case.bugs.clone())
+    }
+}
+
 fn divergence_kind(outcome: &ScenarioOutcome) -> Option<SanDivergenceKind> {
     outcome.reports.iter().find_map(|r| match r {
         KernelReport::SanitizerDivergence { kind, .. } => Some(*kind),
@@ -106,24 +117,14 @@ pub fn run_matrix_case(
     version: KernelVersion,
     backend: Backend,
 ) -> MatrixCaseResult {
-    let backend = case.backend.unwrap_or(backend);
+    let armed = case_config(case, version, backend);
+    let healed = RunConfig {
+        sanitation: Sanitation::Dual(SanDefectSet::none()),
+        ..armed.clone()
+    };
     let scenario = case_scenario(case);
-    let armed = run_scenario_san_diff_backend(
-        &scenario,
-        &case.bugs,
-        version,
-        SanDefectSet::only(case.defect),
-        backend,
-    );
-    let healed = run_scenario_san_diff_backend(
-        &scenario,
-        &case.bugs,
-        version,
-        SanDefectSet::none(),
-        backend,
-    );
-    let kind_armed = divergence_kind(&armed);
-    let kind_healed = divergence_kind(&healed);
+    let kind_armed = divergence_kind(&run(&scenario, &armed, None));
+    let kind_healed = divergence_kind(&run(&scenario, &healed, None));
     MatrixCaseResult {
         defect: case.defect,
         diverged_armed: kind_armed.is_some(),
@@ -152,6 +153,7 @@ pub fn run_matrix(version: KernelVersion, backend: Backend) -> MatrixOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{judge, triage_san_defects};
 
     /// The acceptance bar of the whole subsystem: every seeded sanitizer
     /// defect class is caught by its committed reproducer, 9/9.
@@ -194,13 +196,11 @@ mod tests {
             if !case.divergence_with_defect {
                 continue;
             }
-            let out = run_scenario_san_diff_backend(
-                &case_scenario(&case),
-                &case.bugs,
-                KernelVersion::BpfNext,
-                SanDefectSet::none(),
-                case.backend.unwrap_or(Backend::Interp),
-            );
+            let cfg = RunConfig {
+                sanitation: Sanitation::Dual(SanDefectSet::none()),
+                ..case_config(&case, KernelVersion::BpfNext, Backend::Interp)
+            };
+            let out = run(&case_scenario(&case), &cfg, None);
             assert!(
                 out.accepted(),
                 "{} reproducer must load",
@@ -213,5 +213,30 @@ mod tests {
                 case.defect.name()
             );
         }
+    }
+
+    /// Triage replays on the config's backend. fused-check-elision is a
+    /// defect of the compiled engine: its reproducer runs clean with the
+    /// defect armed and aborts in the sanitizer once healed, so only a
+    /// compiled replay sees the flip and names the culprit.
+    #[test]
+    fn san_defect_triage_replays_on_the_configs_backend() {
+        let case = matrix_cases()
+            .into_iter()
+            .find(|c| c.defect == SanDefect::FusedCheckElision)
+            .expect("matrix ships a fused-check-elision case");
+        let scenario = case_scenario(&case);
+        let cfg = case_config(&case, KernelVersion::BpfNext, Backend::Compiled);
+        assert_eq!(cfg.backend, Backend::Compiled);
+        let healed = RunConfig {
+            sanitation: Sanitation::Dual(SanDefectSet::none()),
+            ..cfg.clone()
+        };
+        let finding =
+            judge(&scenario, &run(&scenario, &healed, None)).expect("healed run must diverge");
+        assert_eq!(
+            triage_san_defects(&finding, &cfg),
+            vec![SanDefect::FusedCheckElision]
+        );
     }
 }

@@ -121,7 +121,7 @@ pub struct ScenarioOutcome {
     /// Kfunc invocations during execution (test-run trigger only).
     pub kfunc_calls: u64,
     /// Differential-oracle counters (all zero unless the scenario ran
-    /// via [`run_scenario_diff`]). A divergence also appears in
+    /// with [`RunConfig::diff_oracle`]). A divergence also appears in
     /// `reports` as [`KernelReport::StateDivergence`].
     pub diff: DiffStats,
     /// FNV fold of the observable execution (test-run trigger only).
@@ -130,7 +130,7 @@ pub struct ScenarioOutcome {
     /// trigger only; always 0 on unsanitized runs).
     pub instrumented_steps: u64,
     /// Sanitizer self-validation counters (all zero unless the scenario
-    /// ran via [`run_scenario_san_diff`]). A divergence also appears in
+    /// ran under [`Sanitation::Dual`]). A divergence also appears in
     /// `reports` as [`KernelReport::SanitizerDivergence`].
     pub san: SanStats,
 }
@@ -142,228 +142,242 @@ impl ScenarioOutcome {
     }
 }
 
-/// Executes a scenario on a fresh kernel with the given configuration.
-pub fn run_scenario(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        false,
-        true,
-        Backend::Interp,
-        None,
-    )
+/// How a run applies BVF's sanitation instrumentation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sanitation {
+    /// Unsanitized (`--no-sanitize`).
+    Off,
+    /// Sanitized: the instrumentation is compiled in (the default).
+    On,
+    /// The `bvf-sancheck` dual-execution oracle (`--san-diff`): the
+    /// scenario runs sanitized, then unsanitized, on the same kernel
+    /// configuration, and any disagreement beyond the documented
+    /// instrumentation delta is appended to the sanitized outcome's
+    /// reports as [`KernelReport::SanitizerDivergence`].
+    ///
+    /// The set arms seeded sanitizer defects in **both** runs' kernels
+    /// (defects are kernel properties; sanitation on/off is the
+    /// differential axis). Campaigns arm none: on a correct sanitizer
+    /// any divergence is a finding.
+    Dual(SanDefectSet),
 }
 
-/// [`run_scenario`] on an explicit execution backend.
-pub fn run_scenario_backend(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    backend: Backend,
-) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario, bugs, version, sanitize, false, true, backend, None,
-    )
+/// Everything that decides how a scenario executes, so one config
+/// replays a finding to the same verdict. Campaigns derive it once
+/// ([`CampaignConfig::run_config`](crate::fuzz::CampaignConfig::run_config));
+/// triage, minimization and `bvf replay` take it as given.
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// Injected defects in the kernel.
+    pub bugs: BugSet,
+    /// Kernel version under test.
+    pub version: KernelVersion,
+    /// Sanitation mode, the dual-execution oracle included.
+    pub sanitation: Sanitation,
+    /// Whether the abstract-vs-concrete differential oracle is armed:
+    /// the verifier records per-instruction abstract-state snapshots,
+    /// the backend records a concrete register trace (test-run trigger
+    /// only), and a concretization-membership violation is appended to
+    /// `reports` as [`KernelReport::StateDivergence`] (Indicator #3).
+    /// Under [`Sanitation::Dual`] it watches the sanitized run.
+    pub diff_oracle: bool,
+    /// Whether the verifier's fingerprint-bucketed explored-state index
+    /// is on. A pure filter: verdicts and findings are identical either
+    /// way; only the number of `states_equal` calls changes.
+    pub prune_index: bool,
+    /// Which engine executes accepted programs. The backends produce
+    /// identical outcomes, except under seeded defects of the compiled
+    /// engine itself.
+    pub backend: Backend,
 }
 
-/// Like [`run_scenario`], but with the abstract-vs-concrete differential
-/// oracle armed: the verifier records per-instruction abstract-state
-/// snapshots, the interpreter records a concrete register trace
-/// (test-run trigger only), and a concretization-membership violation is
-/// appended to `reports` as [`KernelReport::StateDivergence`]
-/// (Indicator #3).
-pub fn run_scenario_diff(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        true,
-        true,
-        Backend::Interp,
-        None,
-    )
+impl RunConfig {
+    /// A sanitized bpf-next run on the interpreter, diff oracle off and
+    /// prune index on. Override fields with struct update syntax.
+    pub fn new(bugs: BugSet) -> RunConfig {
+        RunConfig {
+            bugs,
+            version: KernelVersion::BpfNext,
+            sanitation: Sanitation::On,
+            diff_oracle: false,
+            prune_index: true,
+            backend: Backend::Interp,
+        }
+    }
 }
 
-/// [`run_scenario_diff`] on an explicit execution backend. The concrete
-/// register trace the differential oracle checks is recorded by that
-/// backend — part of the interp/compiled equivalence contract.
-pub fn run_scenario_diff_backend(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    backend: Backend,
-) -> ScenarioOutcome {
-    run_scenario_inner(scenario, bugs, version, sanitize, true, true, backend, None)
-}
-
-/// Like [`run_scenario`]/[`run_scenario_diff`], with every verifier
-/// knob explicit. `prune_index` toggles the fingerprint-bucketed
-/// explored-state index (a pure filter: verdicts and findings are
-/// identical either way; only the number of `states_equal` calls
-/// changes). Exposed for the determinism tests and `prune_bench`.
-pub fn run_scenario_with(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    diff_oracle: bool,
-    prune_index: bool,
-    backend: Backend,
-) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        diff_oracle,
-        prune_index,
-        backend,
-        None,
-    )
-}
-
-/// [`run_scenario_with`] reusing an [`ExecScratch`]'s buffers (memory
-/// pool, KASAN shadow, trace steps) instead of allocating fresh ones —
-/// the campaign's per-iteration hot path. Recycling is invisible:
-/// outcomes are bit-identical to the scratch-free variants.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_scratch(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    diff_oracle: bool,
-    prune_index: bool,
-    backend: Backend,
-    scratch: &mut ExecScratch,
-) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        diff_oracle,
-        prune_index,
-        backend,
-        Some(scratch),
-    )
-}
-
-/// The `bvf-sancheck` dual-execution oracle: runs the scenario twice on
-/// the same kernel configuration — sanitized, then unsanitized — and
-/// appends any disagreement beyond the documented instrumentation delta
-/// to the sanitized outcome's reports as
-/// [`KernelReport::SanitizerDivergence`].
+/// Executes a scenario on a fresh kernel under `cfg`.
 ///
-/// `defects` arms seeded sanitizer defects in **both** runs' kernels
-/// (defects are kernel properties; sanitation on/off is the differential
-/// axis). Campaigns pass [`SanDefectSet::none`] — on a correct sanitizer
-/// any divergence is a finding.
-pub fn run_scenario_san_diff(
+/// `scratch` recycles an [`ExecScratch`]'s buffers (memory pool, KASAN
+/// shadow, trace steps) instead of allocating fresh ones: the
+/// campaign's per-iteration hot path. Recycling is invisible; outcomes
+/// are bit-identical either way.
+pub fn run(
     scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-) -> ScenarioOutcome {
-    san_diff_inner(
-        scenario,
-        bugs,
-        version,
-        defects,
-        false,
-        true,
-        Backend::Interp,
-        None,
-    )
-}
-
-/// [`run_scenario_san_diff`] on an explicit execution backend — both
-/// the sanitized and the unsanitized run use it, so the step-delta and
-/// exec-hash contract is checked within one engine.
-pub fn run_scenario_san_diff_backend(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-    backend: Backend,
-) -> ScenarioOutcome {
-    san_diff_inner(scenario, bugs, version, defects, false, true, backend, None)
-}
-
-/// [`run_scenario_san_diff`] with the diff oracle, backend, and scratch
-/// knobs explicit (the campaign's `--san-diff` hot path).
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_san_diff_with(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-    diff_oracle: bool,
-    prune_index: bool,
-    backend: Backend,
-    scratch: Option<&mut ExecScratch>,
-) -> ScenarioOutcome {
-    san_diff_inner(
-        scenario,
-        bugs,
-        version,
-        defects,
-        diff_oracle,
-        prune_index,
-        backend,
-        scratch,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn san_diff_inner(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-    diff_oracle: bool,
-    prune_index: bool,
-    backend: Backend,
+    cfg: &RunConfig,
     mut scratch: Option<&mut ExecScratch>,
 ) -> ScenarioOutcome {
-    let mut primary = run_scenario_defects(
-        scenario,
-        bugs,
-        version,
-        true,
-        diff_oracle,
-        prune_index,
-        defects,
-        backend,
-        scratch.as_deref_mut(),
-    );
-    let secondary = run_scenario_defects(
-        scenario,
-        bugs,
-        version,
-        false,
-        false,
-        prune_index,
-        defects,
-        backend,
-        scratch,
-    );
+    // A dual run makes two passes over one kernel configuration:
+    // sanitized (with the diff oracle, if armed), then unsanitized.
+    let (defects, passes) = match cfg.sanitation {
+        Sanitation::Dual(defects) => (defects, 2),
+        _ => (SanDefectSet::none(), 1),
+    };
+    let mut outcomes = Vec::with_capacity(passes);
+    for pass in 0..passes {
+        let sanitize = pass == 0 && cfg.sanitation != Sanitation::Off;
+        let diff_oracle = pass == 0 && cfg.diff_oracle;
+        let opts = VerifierOpts {
+            version: cfg.version,
+            snapshots: diff_oracle,
+            prune_index: cfg.prune_index,
+            ..Default::default()
+        };
+        // Boot a fuzzing-sized kernel (smaller pool for iteration
+        // speed), recycling the previous iteration's buffers when a
+        // scratch is given.
+        let mut kernel = match scratch.as_deref_mut() {
+            Some(s) => s.boot_kernel(cfg.bugs.clone(), FUZZ_POOL_SIZE),
+            None => bvf_kernel_sim::Kernel::with_pool_size(cfg.bugs.clone(), FUZZ_POOL_SIZE),
+        };
+        kernel.mm.san_defects = defects;
+        let mut bpf = Bpf::with_kernel(kernel, opts, sanitize).with_backend(cfg.backend);
+        for def in standard_maps() {
+            bpf.map_create(def).expect("standard maps fit");
+        }
+        for (fd, key, value) in &scenario.map_seed {
+            let _ = bpf.map_update(*fd, key, value);
+        }
 
+        let (load, cov, timings) = bpf.prog_load_with_cov(&scenario.prog, scenario.prog_type);
+        let load = match (load, scenario.offloaded) {
+            (Ok(id), true) => {
+                bpf.progs[id as usize].offloaded = true;
+                Ok(id)
+            }
+            (r, _) => r,
+        };
+        let verifier_insns = match &load {
+            Ok(id) => bpf.progs[*id as usize].xlated.insns_processed,
+            Err(_) => 0,
+        };
+
+        // The per-instruction abstract states the verifier proved for
+        // this program (snapshots enabled only in diff-oracle mode).
+        let snapshots = if diff_oracle {
+            bpf.take_snapshots()
+        } else {
+            None
+        };
+
+        let mut reports = Vec::new();
+        let mut halt = None;
+        let mut attach_rejected = false;
+        let mut exec_steps = 0u64;
+        let mut helper_calls = 0u64;
+        let mut kfunc_calls = 0u64;
+        let mut diff = DiffStats::default();
+        let mut exec_hash = 0u64;
+        let mut instrumented_steps = 0u64;
+
+        if let Ok(id) = load {
+            match scenario.trigger {
+                Trigger::TestRun => {
+                    let mut local_trace = ExecTrace::default();
+                    let trace: &mut ExecTrace = match scratch.as_deref_mut() {
+                        Some(s) if diff_oracle => s.trace_mut(),
+                        _ => &mut local_trace,
+                    };
+                    let run = if diff_oracle {
+                        bpf.test_run_traced(id, &mut *trace)
+                    } else {
+                        bpf.test_run(id)
+                    };
+                    match run {
+                        Ok(run) => {
+                            reports.extend(run.reports);
+                            halt = Some(run.exec.halt);
+                            exec_steps = run.exec.steps;
+                            helper_calls = run.exec.helper_calls;
+                            kfunc_calls = run.exec.kfunc_calls;
+                            exec_hash = run.exec.exec_hash;
+                            instrumented_steps = run.exec.instrumented_steps;
+                        }
+                        Err(_) => {
+                            reports.extend(bpf.kernel.end_execution());
+                        }
+                    }
+                    // Membership check: every traced register value must
+                    // lie inside the abstract state the verifier proved
+                    // for that instruction (on at least one explored
+                    // path). The trace prefix stays valid whatever halted
+                    // execution — each step was recorded before its
+                    // instruction ran.
+                    if let Some(snaps) = &snapshots {
+                        if let Some(image) = bpf.image(id) {
+                            let (stats, divergence) = bvf_diff::check(snaps, trace, image.meta());
+                            diff = stats;
+                            if let Some(d) = divergence {
+                                reports.push(KernelReport::StateDivergence {
+                                    pc: d.pc,
+                                    reg: d.reg,
+                                    abstract_state: d.abstract_state,
+                                    concrete: d.concrete,
+                                });
+                            }
+                        }
+                    }
+                }
+                Trigger::Tracepoint(tp) => match bpf.prog_attach(id, AttachPoint::Tracepoint(tp)) {
+                    Ok(()) => reports.extend(bpf.trigger_tracepoint(tp)),
+                    Err(_) => attach_rejected = true,
+                },
+                Trigger::XdpReceive => {
+                    match bpf.prog_attach(
+                        id,
+                        AttachPoint::Xdp {
+                            offloaded: scenario.offloaded,
+                        },
+                    ) {
+                        Ok(()) => reports.extend(bpf.xdp_receive()),
+                        Err(_) => attach_rejected = true,
+                    }
+                }
+                Trigger::GetXlated => {
+                    let _ = bpf.prog_get_xlated(id);
+                    reports.extend(bpf.kernel.end_execution());
+                }
+            }
+        }
+
+        // Hand the kernel's buffers back for the next iteration.
+        if let Some(s) = scratch.as_deref_mut() {
+            s.reclaim(bpf);
+        }
+
+        outcomes.push(ScenarioOutcome {
+            load,
+            cov,
+            reports,
+            halt,
+            attach_rejected,
+            verifier_insns,
+            timings,
+            exec_steps,
+            helper_calls,
+            kfunc_calls,
+            diff,
+            exec_hash,
+            instrumented_steps,
+            san: SanStats::default(),
+        });
+    }
+
+    let mut outcomes = outcomes.into_iter();
+    let mut primary = outcomes.next().expect("the first pass always runs");
+    let Some(secondary) = outcomes.next() else {
+        return primary;
+    };
     let mut san = SanStats::default();
     if primary.accepted() != secondary.accepted() {
         // Sanitation must never change the load verdict: instrumentation
@@ -412,186 +426,6 @@ fn san_diff_inner(
     primary
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_scenario_inner(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    diff_oracle: bool,
-    prune_index: bool,
-    backend: Backend,
-    scratch: Option<&mut ExecScratch>,
-) -> ScenarioOutcome {
-    run_scenario_defects(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        diff_oracle,
-        prune_index,
-        SanDefectSet::none(),
-        backend,
-        scratch,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_scenario_defects(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    diff_oracle: bool,
-    prune_index: bool,
-    defects: SanDefectSet,
-    backend: Backend,
-    mut scratch: Option<&mut ExecScratch>,
-) -> ScenarioOutcome {
-    let opts = VerifierOpts {
-        version,
-        snapshots: diff_oracle,
-        prune_index,
-        ..Default::default()
-    };
-    // Boot a fuzzing-sized kernel (smaller pool for iteration speed),
-    // recycling the previous iteration's buffers when a scratch is given.
-    let mut kernel = match scratch.as_deref_mut() {
-        Some(s) => s.boot_kernel(bugs.clone(), FUZZ_POOL_SIZE),
-        None => bvf_kernel_sim::Kernel::with_pool_size(bugs.clone(), FUZZ_POOL_SIZE),
-    };
-    kernel.mm.san_defects = defects;
-    let mut bpf = Bpf::with_kernel(kernel, opts, sanitize).with_backend(backend);
-    for def in standard_maps() {
-        bpf.map_create(def).expect("standard maps fit");
-    }
-    for (fd, key, value) in &scenario.map_seed {
-        let _ = bpf.map_update(*fd, key, value);
-    }
-
-    let (load, cov, timings) = bpf.prog_load_with_cov(&scenario.prog, scenario.prog_type);
-    let load = match (load, scenario.offloaded) {
-        (Ok(id), true) => {
-            bpf.progs[id as usize].offloaded = true;
-            Ok(id)
-        }
-        (r, _) => r,
-    };
-    let verifier_insns = match &load {
-        Ok(id) => bpf.progs[*id as usize].xlated.insns_processed,
-        Err(_) => 0,
-    };
-
-    // The per-instruction abstract states the verifier proved for this
-    // program (snapshots enabled only in diff-oracle mode).
-    let snapshots = if diff_oracle {
-        bpf.take_snapshots()
-    } else {
-        None
-    };
-
-    let mut reports = Vec::new();
-    let mut halt = None;
-    let mut attach_rejected = false;
-    let mut exec_steps = 0u64;
-    let mut helper_calls = 0u64;
-    let mut kfunc_calls = 0u64;
-    let mut diff = DiffStats::default();
-    let mut exec_hash = 0u64;
-    let mut instrumented_steps = 0u64;
-
-    if let Ok(id) = load {
-        match scenario.trigger {
-            Trigger::TestRun => {
-                let mut local_trace = ExecTrace::default();
-                let trace: &mut ExecTrace = match scratch.as_deref_mut() {
-                    Some(s) if diff_oracle => s.trace_mut(),
-                    _ => &mut local_trace,
-                };
-                let run = if diff_oracle {
-                    bpf.test_run_traced(id, &mut *trace)
-                } else {
-                    bpf.test_run(id)
-                };
-                match run {
-                    Ok(run) => {
-                        reports.extend(run.reports);
-                        halt = Some(run.exec.halt);
-                        exec_steps = run.exec.steps;
-                        helper_calls = run.exec.helper_calls;
-                        kfunc_calls = run.exec.kfunc_calls;
-                        exec_hash = run.exec.exec_hash;
-                        instrumented_steps = run.exec.instrumented_steps;
-                    }
-                    Err(_) => {
-                        reports.extend(bpf.kernel.end_execution());
-                    }
-                }
-                // Membership check: every traced register value must lie
-                // inside the abstract state the verifier proved for that
-                // instruction (on at least one explored path). The trace
-                // prefix stays valid whatever halted execution — each
-                // step was recorded before its instruction ran.
-                if let Some(snaps) = &snapshots {
-                    if let Some(image) = bpf.image(id) {
-                        let (stats, divergence) = bvf_diff::check(snaps, trace, image.meta());
-                        diff = stats;
-                        if let Some(d) = divergence {
-                            reports.push(KernelReport::StateDivergence {
-                                pc: d.pc,
-                                reg: d.reg,
-                                abstract_state: d.abstract_state,
-                                concrete: d.concrete,
-                            });
-                        }
-                    }
-                }
-            }
-            Trigger::Tracepoint(tp) => match bpf.prog_attach(id, AttachPoint::Tracepoint(tp)) {
-                Ok(()) => reports.extend(bpf.trigger_tracepoint(tp)),
-                Err(_) => attach_rejected = true,
-            },
-            Trigger::XdpReceive => {
-                match bpf.prog_attach(
-                    id,
-                    AttachPoint::Xdp {
-                        offloaded: scenario.offloaded,
-                    },
-                ) {
-                    Ok(()) => reports.extend(bpf.xdp_receive()),
-                    Err(_) => attach_rejected = true,
-                }
-            }
-            Trigger::GetXlated => {
-                let _ = bpf.prog_get_xlated(id);
-                reports.extend(bpf.kernel.end_execution());
-            }
-        }
-    }
-
-    // Hand the kernel's buffers back for the next iteration.
-    if let Some(s) = scratch {
-        s.reclaim(bpf);
-    }
-
-    ScenarioOutcome {
-        load,
-        cov,
-        reports,
-        halt,
-        attach_rejected,
-        verifier_insns,
-        timings,
-        exec_steps,
-        helper_calls,
-        kfunc_calls,
-        diff,
-        exec_hash,
-        instrumented_steps,
-        san: SanStats::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,9 +440,9 @@ mod tests {
 
     #[test]
     fn scenario_runs_deterministically() {
-        let bugs = BugSet::none();
-        let a = run_scenario(&trivial(), &bugs, KernelVersion::BpfNext, true);
-        let b = run_scenario(&trivial(), &bugs, KernelVersion::BpfNext, true);
+        let cfg = RunConfig::new(BugSet::none());
+        let a = run(&trivial(), &cfg, None);
+        let b = run(&trivial(), &cfg, None);
         assert!(a.accepted() && b.accepted());
         assert_eq!(a.cov, b.cov);
         assert_eq!(a.reports, b.reports);
@@ -621,7 +455,7 @@ mod tests {
             Program::from_insns(vec![asm::mov64_reg(Reg::R0, Reg::R5), asm::exit()]),
             ProgType::SocketFilter,
         );
-        let out = run_scenario(&s, &BugSet::none(), KernelVersion::BpfNext, true);
+        let out = run(&s, &RunConfig::new(BugSet::none()), None);
         assert!(!out.accepted());
         assert!(!out.cov.is_empty());
     }
@@ -641,7 +475,7 @@ mod tests {
         let mut value = 0x55u64.to_le_bytes().to_vec();
         value.extend([0u8; 8]);
         s.map_seed.push((0, 0u32.to_le_bytes().to_vec(), value));
-        let out = run_scenario(&s, &BugSet::none(), KernelVersion::BpfNext, true);
+        let out = run(&s, &RunConfig::new(BugSet::none()), None);
         assert!(out.accepted());
         assert!(out.reports.is_empty());
     }

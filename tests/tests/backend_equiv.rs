@@ -17,13 +17,10 @@
 //! covered by its own `bvf sancheck --matrix` reproducer instead.
 
 use bvf::gen::{GenConfig, StructuredGen};
-use bvf::scenario::{
-    run_scenario_backend, run_scenario_diff_backend, run_scenario_san_diff_backend, Scenario,
-};
+use bvf::scenario::{run, RunConfig, Sanitation, Scenario};
 use bvf::ScenarioOutcome;
 use bvf_kernel_sim::{BugSet, SanDefect, SanDefectSet};
 use bvf_runtime::Backend;
-use bvf_verifier::KernelVersion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,6 +45,19 @@ fn assert_equivalent(a: &ScenarioOutcome, b: &ScenarioOutcome, what: &str) {
     assert_eq!(a.verifier_insns, b.verifier_insns, "{what}: verifier insns");
 }
 
+/// Runs `s` under `cfg` on the interpreter, then on the compiled backend.
+fn on_both_backends(s: &Scenario, cfg: RunConfig) -> (ScenarioOutcome, ScenarioOutcome) {
+    let compiled = RunConfig {
+        backend: Backend::Compiled,
+        ..cfg.clone()
+    };
+    let interp = RunConfig {
+        backend: Backend::Interp,
+        ..cfg
+    };
+    (run(s, &interp, None), run(s, &compiled, None))
+}
+
 /// Generates `n` scenarios from the structured generator.
 fn scenarios(seed: u64, n: usize) -> Vec<Scenario> {
     let gen = StructuredGen::new(GenConfig::default());
@@ -60,22 +70,13 @@ fn outcomes_match_on_clean_and_buggy_kernels() {
     let mut accepted = 0usize;
     for (i, s) in scenarios(0x9e37_79b9, 200).iter().enumerate() {
         for (bugs, regime) in [(BugSet::none(), "clean"), (BugSet::all(), "buggy")] {
-            for sanitize in [true, false] {
-                let what = format!("scenario {i} ({regime}, sanitize={sanitize})");
-                let interp = run_scenario_backend(
-                    s,
-                    &bugs,
-                    KernelVersion::BpfNext,
-                    sanitize,
-                    Backend::Interp,
-                );
-                let compiled = run_scenario_backend(
-                    s,
-                    &bugs,
-                    KernelVersion::BpfNext,
-                    sanitize,
-                    Backend::Compiled,
-                );
+            for sanitation in [Sanitation::On, Sanitation::Off] {
+                let what = format!("scenario {i} ({regime}, {sanitation:?})");
+                let cfg = RunConfig {
+                    sanitation,
+                    ..RunConfig::new(bugs.clone())
+                };
+                let (interp, compiled) = on_both_backends(s, cfg);
                 assert_equivalent(&interp, &compiled, &what);
                 accepted += usize::from(interp.accepted());
             }
@@ -92,20 +93,11 @@ fn diff_oracle_traces_match() {
     // divergence verdicts.
     for (i, s) in scenarios(0xbf58_476d, 80).iter().enumerate() {
         let what = format!("diff scenario {i}");
-        let interp = run_scenario_diff_backend(
-            s,
-            &BugSet::all(),
-            KernelVersion::BpfNext,
-            true,
-            Backend::Interp,
-        );
-        let compiled = run_scenario_diff_backend(
-            s,
-            &BugSet::all(),
-            KernelVersion::BpfNext,
-            true,
-            Backend::Compiled,
-        );
+        let cfg = RunConfig {
+            diff_oracle: true,
+            ..RunConfig::new(BugSet::all())
+        };
+        let (interp, compiled) = on_both_backends(s, cfg);
         assert_equivalent(&interp, &compiled, &what);
         assert_eq!(interp.diff, compiled.diff, "{what}: diff stats");
     }
@@ -130,20 +122,11 @@ fn san_diff_verdicts_match_under_every_seeded_defect() {
     for (i, s) in scenarios(0x94d0_49bb, 40).iter().enumerate() {
         for (defects, name) in &defect_sets {
             let what = format!("san-diff scenario {i} ({name})");
-            let interp = run_scenario_san_diff_backend(
-                s,
-                &BugSet::none(),
-                KernelVersion::BpfNext,
-                *defects,
-                Backend::Interp,
-            );
-            let compiled = run_scenario_san_diff_backend(
-                s,
-                &BugSet::none(),
-                KernelVersion::BpfNext,
-                *defects,
-                Backend::Compiled,
-            );
+            let cfg = RunConfig {
+                sanitation: Sanitation::Dual(*defects),
+                ..RunConfig::new(BugSet::none())
+            };
+            let (interp, compiled) = on_both_backends(s, cfg);
             assert_equivalent(&interp, &compiled, &what);
             assert_eq!(
                 interp.san.divergences, compiled.san.divergences,

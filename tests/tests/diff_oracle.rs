@@ -9,15 +9,14 @@
 //! register value escape the proved bounds.
 
 use bvf::fuzz::{report_signature, run_campaign, CampaignConfig};
-use bvf::minimize::minimize_finding;
+use bvf::minimize::minimize;
 use bvf::oracle::{judge, triage, Indicator};
-use bvf::scenario::{run_scenario, run_scenario_diff, Scenario};
+use bvf::scenario::{run, RunConfig, Sanitation, Scenario};
 use bvf::GeneratorKind;
 use bvf_isa::{asm, AluOp, JmpOp, Program, Reg, Size};
 use bvf_kernel_sim::helpers::proto::ids as helper;
 use bvf_kernel_sim::progtype::ProgType;
-use bvf_kernel_sim::{BugId, BugSet, KernelReport};
-use bvf_verifier::KernelVersion;
+use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefectSet};
 
 /// A handcrafted bug #12 reproducer: two map-value loads masked to
 /// `{0,4}` and `{0,2}` are OR-ed; the buggy refinement proves
@@ -46,10 +45,27 @@ fn or_bounds_scenario() -> Scenario {
     s
 }
 
+/// The replay configuration for Indicator #3: sanitized, diff oracle on.
+fn diff_config(bugs: BugSet) -> RunConfig {
+    RunConfig {
+        diff_oracle: true,
+        ..RunConfig::new(bugs)
+    }
+}
+
+fn load_fixture() -> Scenario {
+    let json = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/fixtures/indicator3_or_bounds.json"
+    ))
+    .expect("fixture must exist");
+    serde_json::from_str(&json).expect("fixture must parse")
+}
+
 #[test]
 fn bounds_refinement_defect_invisible_to_indicators_one_and_two() {
     let s = or_bounds_scenario();
-    let out = run_scenario(&s, &BugSet::all(), KernelVersion::BpfNext, true);
+    let out = run(&s, &RunConfig::new(BugSet::all()), None);
     assert!(out.accepted(), "reproducer must verify: {:?}", out.load);
     assert!(
         judge(&s, &out).is_none(),
@@ -61,8 +77,8 @@ fn bounds_refinement_defect_invisible_to_indicators_one_and_two() {
 #[test]
 fn diff_oracle_flags_bounds_refinement_as_indicator_three() {
     let s = or_bounds_scenario();
-    let bugs = BugSet::all();
-    let out = run_scenario_diff(&s, &bugs, KernelVersion::BpfNext, true);
+    let cfg = diff_config(BugSet::all());
+    let out = run(&s, &cfg, None);
     assert!(out.accepted());
     assert!(out.diff.steps_checked > 0, "trace must have been checked");
     let f = judge(&s, &out).expect("diff oracle must flag the escape");
@@ -78,7 +94,7 @@ fn diff_oracle_flags_bounds_refinement_as_indicator_three() {
     assert_eq!(div, (3, 6), "r3 = 4 | 2 = 6 escapes the proved umax of 4");
 
     // Differential triage pins the finding on bug #12 alone.
-    let culprits = triage(&f, &bugs, KernelVersion::BpfNext, true);
+    let culprits = triage(&f, &cfg);
     assert_eq!(culprits, vec![BugId::BoundsRefinement]);
 }
 
@@ -86,7 +102,7 @@ fn diff_oracle_flags_bounds_refinement_as_indicator_three() {
 fn diff_oracle_silent_on_fixed_kernel() {
     // The reproducer on a defect-free kernel: same bounds, no escape.
     let s = or_bounds_scenario();
-    let out = run_scenario_diff(&s, &BugSet::none(), KernelVersion::BpfNext, true);
+    let out = run(&s, &diff_config(BugSet::none()), None);
     assert!(out.accepted());
     assert!(
         judge(&s, &out).is_none(),
@@ -127,14 +143,13 @@ fn minimize_preserves_indicator_three_signature() {
     insns.push(exit);
     s.prog = Program::from_insns(insns);
 
-    let bugs = BugSet::all();
-    let out = minimize_finding(&s, &bugs, KernelVersion::BpfNext, true, true)
-        .expect("indicator #3 finding must minimize");
+    let cfg = diff_config(BugSet::all());
+    let out = minimize(&s, &cfg, 1).expect("indicator #3 finding must minimize");
     assert!(out.units_kept < out.units_total);
     assert_eq!(out.scenario.prog.insn_count(), s.prog.insn_count());
 
     // Replay the minimized scenario: identical signature, still #3.
-    let replay = run_scenario_diff(&out.scenario, &bugs, KernelVersion::BpfNext, true);
+    let replay = run(&out.scenario, &cfg, None);
     let f = judge(&out.scenario, &replay).expect("minimized scenario must reproduce");
     assert_eq!(f.indicator, Indicator::Three);
     assert_eq!(report_signature(f.indicator, &f.reports), out.signature);
@@ -144,17 +159,37 @@ fn minimize_preserves_indicator_three_signature() {
 fn committed_fixture_reproduces_and_minimizes() {
     // The CI minimize round-trip runs against this committed finding;
     // this test keeps the fixture in sync with the reproducer above.
-    let json = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/fixtures/indicator3_or_bounds.json"
-    ))
-    .expect("fixture must exist");
-    let s: Scenario = serde_json::from_str(&json).expect("fixture must parse");
+    let s = load_fixture();
     assert_eq!(s.prog.insns(), or_bounds_scenario().prog.insns());
 
-    let out = minimize_finding(&s, &BugSet::all(), KernelVersion::BpfNext, true, true)
-        .expect("fixture must minimize");
+    let out = minimize(&s, &diff_config(BugSet::all()), 1).expect("fixture must minimize");
     assert_eq!(out.signature, "Three:statediv:r3");
+}
+
+#[test]
+fn dual_run_keeps_the_diff_oracle_armed() {
+    // `fuzz --san-diff --diff-oracle` arms both oracles at once, so its
+    // Indicator #3 findings must replay, triage and minimize under the
+    // same pair: the dual run's sanitized pass carries the diff oracle.
+    let s = load_fixture();
+    let cfg = RunConfig {
+        sanitation: Sanitation::Dual(SanDefectSet::none()),
+        ..diff_config(BugSet::all())
+    };
+    let out = run(&s, &cfg, None);
+    assert!(
+        out.diff.steps_checked > 0,
+        "diff oracle must check the trace"
+    );
+    assert_eq!(out.san.runs, 1, "both passes must run and be compared");
+    let f = judge(&s, &out).expect("dual run must flag the escape");
+    assert_eq!(
+        report_signature(f.indicator, &f.reports),
+        "Three:statediv:r3"
+    );
+    assert_eq!(triage(&f, &cfg), vec![BugId::BoundsRefinement]);
+    let min = minimize(&s, &cfg, 1).expect("fixture must minimize under both oracles");
+    assert_eq!(min.signature, "Three:statediv:r3");
 }
 
 #[test]

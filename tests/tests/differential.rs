@@ -8,7 +8,7 @@
 //! bugs — is covered by the per-bug end-to-end tests.)
 
 use bvf::gen::{GenConfig, StructuredGen};
-use bvf::scenario::run_scenario;
+use bvf::scenario::{run, RunConfig, Sanitation};
 use bvf::{baseline, Scenario};
 use bvf_kernel_sim::BugSet;
 use bvf_runtime::HaltReason;
@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn assert_clean(s: &Scenario, what: &str) {
-    let out = run_scenario(s, &BugSet::none(), KernelVersion::BpfNext, true);
+    let out = run(s, &RunConfig::new(BugSet::none()), None);
     if !out.accepted() {
         return; // rejection is always safe
     }
@@ -95,8 +95,13 @@ fn sanitation_never_changes_results() {
     let mut compared = 0;
     for _ in 0..200 {
         let s = g.generate(&mut rng);
-        let plain = run_scenario(&s, &BugSet::none(), KernelVersion::BpfNext, false);
-        let sanitized = run_scenario(&s, &BugSet::none(), KernelVersion::BpfNext, true);
+        let sanitized_cfg = RunConfig::new(BugSet::none());
+        let plain_cfg = RunConfig {
+            sanitation: Sanitation::Off,
+            ..sanitized_cfg.clone()
+        };
+        let plain = run(&s, &plain_cfg, None);
+        let sanitized = run(&s, &sanitized_cfg, None);
         assert_eq!(plain.accepted(), sanitized.accepted());
         if plain.accepted() {
             assert_eq!(plain.halt, sanitized.halt, "{}", s.prog.dump());
@@ -115,8 +120,12 @@ fn verifier_is_deterministic_across_versions() {
     for _ in 0..100 {
         let s = g.generate(&mut rng);
         for v in KernelVersion::ALL {
-            let a = run_scenario(&s, &BugSet::none(), v, true);
-            let b = run_scenario(&s, &BugSet::none(), v, true);
+            let cfg = RunConfig {
+                version: v,
+                ..RunConfig::new(BugSet::none())
+            };
+            let a = run(&s, &cfg, None);
+            let b = run(&s, &cfg, None);
             assert_eq!(a.accepted(), b.accepted());
             assert_eq!(a.cov, b.cov);
         }
@@ -133,8 +142,13 @@ fn older_versions_accept_subset_features() {
 
     let p = Program::from_insns(vec![asm::call_kfunc(kf::KTIME_COARSE as i32), asm::exit()]);
     let s = Scenario::test_run(p, ProgType::Kprobe);
-    let old = run_scenario(&s, &BugSet::none(), KernelVersion::V5_15, true);
-    let new = run_scenario(&s, &BugSet::none(), KernelVersion::BpfNext, true);
+    let new_cfg = RunConfig::new(BugSet::none());
+    let old_cfg = RunConfig {
+        version: KernelVersion::V5_15,
+        ..new_cfg.clone()
+    };
+    let old = run(&s, &old_cfg, None);
+    let new = run(&s, &new_cfg, None);
     assert!(!old.accepted());
     assert!(new.accepted());
 }
