@@ -21,9 +21,10 @@
 //! oracle (Indicator #3: snapshot export, trace recording, and the
 //! membership check); results go to `bench_results/throughput_diff.json`.
 //! `--san-diff` is the sanitizer self-validation oracle (`bvf-sancheck`):
-//! every accepted program runs twice (sanitized and unsanitized) plus
-//! the comparator, so the expected slowdown is bounded by ~2x plus
-//! comparison cost; results go to `bench_results/throughput_san.json`,
+//! every program is verified once and every accepted program runs twice
+//! (sanitized and unsanitized) plus the comparator, so the slowdown is
+//! the second pass's boot, install and execution plus comparison cost;
+//! results go to `bench_results/throughput_san.json`,
 //! and `--check-regression PCT` compares the slowdown against the
 //! committed 1-core baseline of the same backend
 //! (`bench_results/throughput_san_1core.json`; a baseline without a

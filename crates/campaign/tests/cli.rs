@@ -1,5 +1,5 @@
-//! Command-line contract of the `bvf` binary: bad flag values fail
-//! loudly, and a finding replays and minimizes under the same oracle
+//! Command-line contract of the `bvf` binary: unknown flags, missing
+//! values and bad flag values fail loudly, and a finding replays and minimizes under the same oracle
 //! flags as the campaign that found it.
 
 use std::path::PathBuf;
@@ -55,8 +55,10 @@ fn no_sanitize_conflicts_with_san_diff() {
         let path = fixture("indicator3_or_bounds.json");
         if cmd == "replay" {
             args.push(&path);
+        } else {
+            args.extend(["--iters", "10"]);
         }
-        args.extend(["--iters", "10", "--no-sanitize", "--san-diff"]);
+        args.extend(["--no-sanitize", "--san-diff"]);
         assert_usage_error(&args, "--no-sanitize conflicts with --san-diff");
     }
 }
@@ -95,4 +97,56 @@ fn replay_and_minimize_arm_both_oracles_together() {
     let _ = std::fs::remove_file(&min);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("signature: Three:statediv:r3"), "{stdout}");
+}
+
+#[test]
+fn unknown_flags_exit_2_with_the_closest_name() {
+    // `--san-dif` once ran the campaign without the oracle it names.
+    assert_usage_error(
+        &["fuzz", "--iters", "10", "--san-dif"],
+        "unknown flag \"--san-dif\"; did you mean --san-diff?",
+    );
+    assert_usage_error(
+        &["sancheck", "--matrx"],
+        "unknown flag \"--matrx\"; did you mean --matrix?",
+    );
+    assert_usage_error(&["fuzz", "--frobnicate"], "unknown flag \"--frobnicate\"");
+    // Flags are per subcommand: a replay has no iteration count.
+    assert_usage_error(
+        &[
+            "replay",
+            &fixture("indicator3_or_bounds.json"),
+            "--iters",
+            "10",
+        ],
+        "bvf replay: unknown flag \"--iters\"",
+    );
+}
+
+#[test]
+fn valueless_repeated_and_stray_arguments_exit_2() {
+    assert_usage_error(&["fuzz", "--iters"], "--iters needs a value");
+    // A flag is never taken as the previous flag's value.
+    assert_usage_error(
+        &["fuzz", "--json-out", "--san-diff"],
+        "--json-out needs a value",
+    );
+    assert_usage_error(
+        &["fuzz", "--seed", "1", "--seed", "2"],
+        "--seed given twice",
+    );
+    assert_usage_error(&["replay"], "wrong number of arguments");
+    assert_usage_error(&["fuzz", "stray"], "wrong number of arguments");
+}
+
+#[test]
+fn help_prints_usage_instead_of_running() {
+    // `bvf fuzz --help` once ran a 5000-iteration campaign.
+    for args in [&["fuzz", "--help"][..], &["--help"], &["replay", "-h"]] {
+        let out = bvf(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}");
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(!stdout.contains("iterations"), "{args:?} ran: {stdout}");
+    }
 }

@@ -71,6 +71,11 @@
 //! found it. `--no-sanitize` with `--san-diff` is an error: the dual run
 //! is sanitized, then unsanitized, by definition.
 //!
+//! Each subcommand parses its arguments strictly against its own flag
+//! table (`COMMANDS`): an unknown flag (with the closest known name
+//! suggested), a flag missing its value, a repeated flag or a stray
+//! argument exits 2 before anything runs. `--help` prints the usage.
+//!
 //! `--workers N` runs the campaign's lease batches across N
 //! work-stealing threads (0 = one per available CPU) with merged
 //! results bit-identical to `--workers 1` on the same seed; `--chaos S`
@@ -123,9 +128,7 @@ use bvf_runtime::Backend;
 use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceEvent, TraceSink};
 use bvf_verifier::KernelVersion;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  \
+const USAGE: &str = "usage:\n  \
          bvf fuzz   [--iters N] [--seed S] [--generator G] [--bugs SPEC] [--version V]\n             \
          [--no-sanitize] [--no-triage] [--no-feedback] [--diff-oracle] [--steer]\n             \
          [--san-diff] [--san-defect LIST] [--backend interp|compiled] [--workers N]\n             \
@@ -145,24 +148,227 @@ fn usage() -> ! {
          [--diff-oracle] [--san-diff] [--san-defect LIST] [--jobs N] [--out FILE] [--backend B]\n  \
          bvf sancheck [--matrix] [--version V] [--json-out FILE] [--backend B]\n  \
          bvf disasm <scenario.json|program.bin>\n  \
-         bvf bugs"
-    );
+         bvf bugs";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
     exit(2)
 }
 
-struct Args(Vec<String>);
+/// One flag a subcommand accepts.
+struct Flag {
+    /// The flag, with its leading `--`.
+    name: &'static str,
+    /// Whether the flag takes a value (`--seed 7`) or stands alone.
+    takes_value: bool,
+}
+
+const fn val(name: &'static str) -> Flag {
+    Flag {
+        name,
+        takes_value: true,
+    }
+}
+
+const fn bare(name: &'static str) -> Flag {
+    Flag {
+        name,
+        takes_value: false,
+    }
+}
+
+/// The scenario-run flags `run_config` reads.
+const RUN_FLAGS: &[Flag] = &[
+    val("--bugs"),
+    val("--version"),
+    bare("--no-sanitize"),
+    bare("--diff-oracle"),
+    bare("--san-diff"),
+    val("--san-defect"),
+    val("--backend"),
+];
+
+/// The campaign flags `campaign_config` and `parse_workers` read.
+const CAMPAIGN_FLAGS: &[Flag] = &[
+    val("--iters"),
+    val("--seed"),
+    val("--generator"),
+    bare("--no-triage"),
+    bare("--no-feedback"),
+    bare("--steer"),
+    val("--snapshot-every"),
+    val("--batch-len"),
+    val("--exchange-every"),
+    val("--exchange-batch"),
+    val("--corpus-in"),
+    val("--workers"),
+];
+
+/// Flags only `bvf fuzz` reads.
+const FUZZ_FLAGS: &[Flag] = &[
+    val("--chaos"),
+    val("--corpus-out"),
+    val("--trace-out"),
+    val("--json-out"),
+    val("--stats-every"),
+    val("--save-findings"),
+    val("--remote"),
+];
+
+const OUT_FLAG: &[Flag] = &[val("--out")];
+
+/// One subcommand's grammar.
+struct Command {
+    /// The subcommand words, as typed (`"corpus export"`).
+    name: &'static str,
+    /// How many positional arguments it takes: at least `.0`, at most `.1`.
+    positional: (usize, usize),
+    /// The flag groups it accepts.
+    flags: &'static [&'static [Flag]],
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "fuzz",
+        positional: (0, 0),
+        flags: &[RUN_FLAGS, CAMPAIGN_FLAGS, FUZZ_FLAGS],
+    },
+    Command {
+        name: "serve",
+        positional: (0, 0),
+        flags: &[&[val("--listen"), val("--state"), val("--lease-timeout")]],
+    },
+    Command {
+        name: "worker",
+        positional: (0, 0),
+        flags: &[&[
+            val("--connect"),
+            val("--poll-ms"),
+            val("--max-batches"),
+            val("--backend"),
+        ]],
+    },
+    Command {
+        name: "report",
+        positional: (1, 1),
+        flags: &[],
+    },
+    Command {
+        name: "corpus export",
+        positional: (0, 0),
+        flags: &[RUN_FLAGS, CAMPAIGN_FLAGS, OUT_FLAG],
+    },
+    Command {
+        name: "corpus import",
+        positional: (1, usize::MAX),
+        flags: &[OUT_FLAG],
+    },
+    Command {
+        name: "corpus info",
+        positional: (1, 1),
+        flags: &[],
+    },
+    Command {
+        name: "replay",
+        positional: (1, 1),
+        flags: &[RUN_FLAGS],
+    },
+    Command {
+        name: "minimize",
+        positional: (1, 1),
+        flags: &[RUN_FLAGS, &[val("--jobs")], OUT_FLAG],
+    },
+    Command {
+        name: "sancheck",
+        positional: (0, 0),
+        flags: &[&[
+            bare("--matrix"),
+            val("--version"),
+            val("--json-out"),
+            val("--backend"),
+        ]],
+    },
+    Command {
+        name: "disasm",
+        positional: (1, 1),
+        flags: &[],
+    },
+    Command {
+        name: "bugs",
+        positional: (0, 0),
+        flags: &[],
+    },
+];
+
+/// A subcommand's parsed arguments.
+struct Args {
+    /// `--name` → value (`""` for a bare flag).
+    flags: BTreeMap<&'static str, String>,
+    /// The non-flag arguments, in order.
+    positional: Vec<String>,
+}
 
 impl Args {
+    /// Parses `argv` (the words after the subcommand) strictly against
+    /// `cmd`'s grammar. An unknown flag, a flag missing its value, a
+    /// repeated flag or a wrong number of positional arguments exits 2:
+    /// a typo must not run silently with a default. `--help` prints the
+    /// usage and exits 0.
+    fn parse(cmd: &Command, argv: &[String]) -> Args {
+        let fail = |msg: String| -> ! {
+            eprintln!("bvf {}: {msg}", cmd.name);
+            exit(2)
+        };
+        let known = || cmd.flags.iter().flat_map(|group| group.iter());
+        let mut args = Args {
+            flags: BTreeMap::new(),
+            positional: Vec::new(),
+        };
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if arg == "--help" || arg == "-h" {
+                println!("{USAGE}");
+                exit(0);
+            }
+            if !arg.starts_with("--") {
+                args.positional.push(arg.clone());
+                continue;
+            }
+            let Some(flag) = known().find(|f| f.name == arg) else {
+                let nearest = known()
+                    .map(|f| (levenshtein(arg, f.name), f.name))
+                    .filter(|&(d, _)| d <= arg.len().max(4) / 2)
+                    .min();
+                match nearest {
+                    Some((_, near)) => fail(format!("unknown flag {arg:?}; did you mean {near}?")),
+                    None => fail(format!("unknown flag {arg:?}")),
+                }
+            };
+            let value = if flag.takes_value {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => fail(format!("{} needs a value", flag.name)),
+                }
+            } else {
+                String::new()
+            };
+            if args.flags.insert(flag.name, value).is_some() {
+                fail(format!("{} given twice", flag.name));
+            }
+        }
+        let (min, max) = cmd.positional;
+        if !(min..=max).contains(&args.positional.len()) {
+            fail(format!("wrong number of arguments: {:?}", args.positional));
+        }
+        args
+    }
+
     fn opt(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+        self.flags.get(name).map(String::as_str)
     }
 
     fn flag(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
+        self.flags.contains_key(name)
     }
 
     /// Parses `name`'s value, exiting with a usage error if it does
@@ -966,53 +1172,37 @@ fn print_snapshot_summary(snap: &CorpusSnapshot) {
     );
 }
 
-fn cmd_corpus(args: &Args, argv: &[String]) {
-    match argv.get(1).map(|s| s.as_str()) {
-        Some("export") => {
-            let Some(out) = args.opt("--out") else {
-                eprintln!("corpus export needs --out FILE");
-                exit(2);
-            };
-            let cfg = campaign_config(args);
-            let mut pcfg = ParallelConfig::new(parse_workers(args));
-            pcfg.snapshot = true;
-            let outcome = run_sharded(&cfg, &pcfg);
-            let snap = outcome.snapshot.expect("snapshot requested");
-            std::fs::write(out, snap.to_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {out}: {e}");
-                exit(1);
-            });
-            print_snapshot_summary(&snap);
-            println!("saved {out}");
-        }
-        Some("import") => {
-            let inputs: Vec<&String> = argv[2..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .collect();
-            if inputs.is_empty() {
-                eprintln!("corpus import needs at least one snapshot file");
-                exit(2);
-            }
-            let snaps: Vec<CorpusSnapshot> = inputs.iter().map(|p| load_snapshot(p)).collect();
-            let merged = CorpusSnapshot::merge(snaps).unwrap_or_else(|e| {
-                eprintln!("corpus import: {e}");
-                exit(1);
-            });
-            print_snapshot_summary(&merged);
-            if let Some(out) = args.opt("--out") {
-                std::fs::write(out, merged.to_json()).unwrap_or_else(|e| {
-                    eprintln!("cannot write {out}: {e}");
-                    exit(1);
-                });
-                println!("saved {out}");
-            }
-        }
-        Some("info") => match argv.get(2) {
-            Some(path) => print_snapshot_summary(&load_snapshot(path)),
-            None => usage(),
-        },
-        _ => usage(),
+fn cmd_corpus_export(args: &Args) {
+    let Some(out) = args.opt("--out") else {
+        eprintln!("corpus export needs --out FILE");
+        exit(2);
+    };
+    let cfg = campaign_config(args);
+    let mut pcfg = ParallelConfig::new(parse_workers(args));
+    pcfg.snapshot = true;
+    let outcome = run_sharded(&cfg, &pcfg);
+    let snap = outcome.snapshot.expect("snapshot requested");
+    std::fs::write(out, snap.to_json()).unwrap_or_else(|e| {
+        eprintln!("cannot write {out}: {e}");
+        exit(1);
+    });
+    print_snapshot_summary(&snap);
+    println!("saved {out}");
+}
+
+fn cmd_corpus_import(args: &Args) {
+    let snaps: Vec<CorpusSnapshot> = args.positional.iter().map(|p| load_snapshot(p)).collect();
+    let merged = CorpusSnapshot::merge(snaps).unwrap_or_else(|e| {
+        eprintln!("corpus import: {e}");
+        exit(1);
+    });
+    print_snapshot_summary(&merged);
+    if let Some(out) = args.opt("--out") {
+        std::fs::write(out, merged.to_json()).unwrap_or_else(|e| {
+            eprintln!("cannot write {out}: {e}");
+            exit(1);
+        });
+        println!("saved {out}");
     }
 }
 
@@ -1121,33 +1311,35 @@ fn cmd_report(path: &str) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().map(|s| s.as_str()) else {
-        usage()
+    // `corpus` takes a second subcommand word.
+    let words = match argv.first().map(String::as_str) {
+        Some("corpus") => 2,
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            exit(0)
+        }
+        _ => 1,
     };
-    let args = Args(argv.clone());
-    match cmd {
+    let name = argv.get(..words).unwrap_or_else(|| usage()).join(" ");
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| usage());
+    let args = Args::parse(cmd, &argv[words..]);
+    let path = || args.positional[0].as_str();
+    match cmd.name {
         "fuzz" => cmd_fuzz(&args),
         "serve" => cmd_serve(&args),
         "worker" => cmd_worker(&args),
-        "replay" => match argv.get(1) {
-            Some(p) if !p.starts_with("--") => cmd_replay(&args, p),
-            _ => usage(),
-        },
-        "minimize" => match argv.get(1) {
-            Some(p) if !p.starts_with("--") => cmd_minimize(&args, p),
-            _ => usage(),
-        },
-        "disasm" => match argv.get(1) {
-            Some(p) => cmd_disasm(p),
-            None => usage(),
-        },
-        "report" => match argv.get(1) {
-            Some(p) if !p.starts_with("--") => cmd_report(p),
-            _ => usage(),
-        },
-        "corpus" => cmd_corpus(&args, &argv),
+        "replay" => cmd_replay(&args, path()),
+        "minimize" => cmd_minimize(&args, path()),
+        "disasm" => cmd_disasm(path()),
+        "report" => cmd_report(path()),
+        "corpus export" => cmd_corpus_export(&args),
+        "corpus import" => cmd_corpus_import(&args),
+        "corpus info" => print_snapshot_summary(&load_snapshot(path())),
         "sancheck" => cmd_sancheck(&args),
         "bugs" => cmd_bugs(),
-        _ => usage(),
+        _ => unreachable!("every command in COMMANDS is dispatched"),
     }
 }

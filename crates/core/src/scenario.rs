@@ -12,12 +12,13 @@ use bvf_diff::DiffStats;
 use bvf_isa::Program;
 use bvf_kernel_sim::map::{MapDef, MapType};
 use bvf_kernel_sim::progtype::ProgType;
+use bvf_kernel_sim::report::SanDivergenceKind;
 use bvf_kernel_sim::tracepoint::{AttachPoint, Tracepoint};
 use bvf_kernel_sim::{BugSet, KernelReport, SanDefectSet};
 use bvf_runtime::{Backend, Bpf, BpfError, ExecScratch, ExecTrace, HaltReason};
 use bvf_sancheck::{RunView, SanStats};
 use bvf_telemetry::PhaseTimings;
-use bvf_verifier::{Coverage, KernelVersion, VerifierOpts};
+use bvf_verifier::{Coverage, KernelVersion, SnapshotStream, VerifierOpts};
 
 /// Memory pool size used for fuzzing kernels (smaller than the default
 /// for iteration speed; large enough for the standard resources).
@@ -150,10 +151,12 @@ pub enum Sanitation {
     /// Sanitized: the instrumentation is compiled in (the default).
     On,
     /// The `bvf-sancheck` dual-execution oracle (`--san-diff`): the
-    /// scenario runs sanitized, then unsanitized, on the same kernel
+    /// program is verified once, then the verified program runs
+    /// sanitized and unsanitized on two fresh kernels of one
     /// configuration, and any disagreement beyond the documented
     /// instrumentation delta is appended to the sanitized outcome's
-    /// reports as [`KernelReport::SanitizerDivergence`].
+    /// reports as [`KernelReport::SanitizerDivergence`]. A rejected
+    /// program makes no unsanitized pass.
     ///
     /// The set arms seeded sanitizer defects in **both** runs' kernels
     /// (defects are kernel properties; sanitation on/off is the
@@ -217,213 +220,236 @@ pub fn run(
     cfg: &RunConfig,
     mut scratch: Option<&mut ExecScratch>,
 ) -> ScenarioOutcome {
-    // A dual run makes two passes over one kernel configuration:
-    // sanitized (with the diff oracle, if armed), then unsanitized.
-    let (defects, passes) = match cfg.sanitation {
-        Sanitation::Dual(defects) => (defects, 2),
-        _ => (SanDefectSet::none(), 1),
+    let defects = match cfg.sanitation {
+        Sanitation::Dual(defects) => defects,
+        _ => SanDefectSet::none(),
     };
-    let mut outcomes = Vec::with_capacity(passes);
-    for pass in 0..passes {
-        let sanitize = pass == 0 && cfg.sanitation != Sanitation::Off;
-        let diff_oracle = pass == 0 && cfg.diff_oracle;
-        let opts = VerifierOpts {
-            version: cfg.version,
-            snapshots: diff_oracle,
-            prune_index: cfg.prune_index,
-            ..Default::default()
-        };
-        // Boot a fuzzing-sized kernel (smaller pool for iteration
-        // speed), recycling the previous iteration's buffers when a
-        // scratch is given.
-        let mut kernel = match scratch.as_deref_mut() {
-            Some(s) => s.boot_kernel(cfg.bugs.clone(), FUZZ_POOL_SIZE),
-            None => bvf_kernel_sim::Kernel::with_pool_size(cfg.bugs.clone(), FUZZ_POOL_SIZE),
-        };
-        kernel.mm.san_defects = defects;
-        let mut bpf = Bpf::with_kernel(kernel, opts, sanitize).with_backend(cfg.backend);
-        for def in standard_maps() {
-            bpf.map_create(def).expect("standard maps fit");
+    let mut bpf = boot(
+        scenario,
+        cfg,
+        defects,
+        cfg.sanitation != Sanitation::Off,
+        scratch.as_deref_mut(),
+    );
+    let verified = bvf_verifier::verify(&bpf.kernel, &scenario.prog, scenario.prog_type, &bpf.opts);
+    let mut timings = verified.timings;
+    // Sanitation rewrites a program the verifier already accepted, so a
+    // dual run verifies once and keeps a copy for the unsanitized pass.
+    // A rejection ends the run: the unsanitized side would reject too.
+    let (load, unsanitized) = match verified.result {
+        Ok(vprog) => {
+            let copy = matches!(cfg.sanitation, Sanitation::Dual(_)).then(|| vprog.clone());
+            (bpf.prog_install(vprog, &mut timings), copy)
         }
-        for (fd, key, value) in &scenario.map_seed {
-            let _ = bpf.map_update(*fd, key, value);
+        Err(e) => (Err(BpfError::Verifier(e)), None),
+    };
+    let verifier_insns = match &load {
+        Ok(id) => bpf.progs[*id as usize].xlated.insns_processed,
+        Err(_) => 0,
+    };
+    // The per-instruction abstract states the verifier proved for this
+    // program, checked against the sanitized run's concrete trace.
+    let snapshots = cfg.diff_oracle.then_some(&verified.snapshots);
+    let mut exec = execute(bpf, &load, scenario, snapshots, scratch.as_deref_mut());
+
+    let san = match unsanitized {
+        Some(vprog) => {
+            let mut raw = boot(scenario, cfg, defects, false, scratch.as_deref_mut());
+            let raw_load = raw.prog_install(vprog, &mut PhaseTimings::default());
+            let raw_exec = execute(raw, &raw_load, scenario, None, scratch);
+            compare_passes(&mut exec, load.is_ok(), &raw_exec, raw_load.is_ok())
         }
+        None => SanStats::default(),
+    };
 
-        let (load, cov, timings) = bpf.prog_load_with_cov(&scenario.prog, scenario.prog_type);
-        let load = match (load, scenario.offloaded) {
-            (Ok(id), true) => {
-                bpf.progs[id as usize].offloaded = true;
-                Ok(id)
-            }
-            (r, _) => r,
-        };
-        let verifier_insns = match &load {
-            Ok(id) => bpf.progs[*id as usize].xlated.insns_processed,
-            Err(_) => 0,
-        };
-
-        // The per-instruction abstract states the verifier proved for
-        // this program (snapshots enabled only in diff-oracle mode).
-        let snapshots = if diff_oracle {
-            bpf.take_snapshots()
-        } else {
-            None
-        };
-
-        let mut reports = Vec::new();
-        let mut halt = None;
-        let mut attach_rejected = false;
-        let mut exec_steps = 0u64;
-        let mut helper_calls = 0u64;
-        let mut kfunc_calls = 0u64;
-        let mut diff = DiffStats::default();
-        let mut exec_hash = 0u64;
-        let mut instrumented_steps = 0u64;
-
-        if let Ok(id) = load {
-            match scenario.trigger {
-                Trigger::TestRun => {
-                    let mut local_trace = ExecTrace::default();
-                    let trace: &mut ExecTrace = match scratch.as_deref_mut() {
-                        Some(s) if diff_oracle => s.trace_mut(),
-                        _ => &mut local_trace,
-                    };
-                    let run = if diff_oracle {
-                        bpf.test_run_traced(id, &mut *trace)
-                    } else {
-                        bpf.test_run(id)
-                    };
-                    match run {
-                        Ok(run) => {
-                            reports.extend(run.reports);
-                            halt = Some(run.exec.halt);
-                            exec_steps = run.exec.steps;
-                            helper_calls = run.exec.helper_calls;
-                            kfunc_calls = run.exec.kfunc_calls;
-                            exec_hash = run.exec.exec_hash;
-                            instrumented_steps = run.exec.instrumented_steps;
-                        }
-                        Err(_) => {
-                            reports.extend(bpf.kernel.end_execution());
-                        }
-                    }
-                    // Membership check: every traced register value must
-                    // lie inside the abstract state the verifier proved
-                    // for that instruction (on at least one explored
-                    // path). The trace prefix stays valid whatever halted
-                    // execution — each step was recorded before its
-                    // instruction ran.
-                    if let Some(snaps) = &snapshots {
-                        if let Some(image) = bpf.image(id) {
-                            let (stats, divergence) = bvf_diff::check(snaps, trace, image.meta());
-                            diff = stats;
-                            if let Some(d) = divergence {
-                                reports.push(KernelReport::StateDivergence {
-                                    pc: d.pc,
-                                    reg: d.reg,
-                                    abstract_state: d.abstract_state,
-                                    concrete: d.concrete,
-                                });
-                            }
-                        }
-                    }
-                }
-                Trigger::Tracepoint(tp) => match bpf.prog_attach(id, AttachPoint::Tracepoint(tp)) {
-                    Ok(()) => reports.extend(bpf.trigger_tracepoint(tp)),
-                    Err(_) => attach_rejected = true,
-                },
-                Trigger::XdpReceive => {
-                    match bpf.prog_attach(
-                        id,
-                        AttachPoint::Xdp {
-                            offloaded: scenario.offloaded,
-                        },
-                    ) {
-                        Ok(()) => reports.extend(bpf.xdp_receive()),
-                        Err(_) => attach_rejected = true,
-                    }
-                }
-                Trigger::GetXlated => {
-                    let _ = bpf.prog_get_xlated(id);
-                    reports.extend(bpf.kernel.end_execution());
-                }
-            }
-        }
-
-        // Hand the kernel's buffers back for the next iteration.
-        if let Some(s) = scratch.as_deref_mut() {
-            s.reclaim(bpf);
-        }
-
-        outcomes.push(ScenarioOutcome {
-            load,
-            cov,
-            reports,
-            halt,
-            attach_rejected,
-            verifier_insns,
-            timings,
-            exec_steps,
-            helper_calls,
-            kfunc_calls,
-            diff,
-            exec_hash,
-            instrumented_steps,
-            san: SanStats::default(),
-        });
+    ScenarioOutcome {
+        load,
+        cov: verified.cov,
+        reports: exec.reports,
+        halt: exec.halt,
+        attach_rejected: exec.attach_rejected,
+        verifier_insns,
+        timings,
+        exec_steps: exec.steps,
+        helper_calls: exec.helper_calls,
+        kfunc_calls: exec.kfunc_calls,
+        diff: exec.diff,
+        exec_hash: exec.exec_hash,
+        instrumented_steps: exec.instrumented_steps,
+        san,
     }
+}
 
-    let mut outcomes = outcomes.into_iter();
-    let mut primary = outcomes.next().expect("the first pass always runs");
-    let Some(secondary) = outcomes.next() else {
-        return primary;
+/// Boots a fuzzing-sized kernel (smaller pool for iteration speed) with
+/// the standard maps and the scenario's map seeding, recycling the
+/// previous run's buffers when a scratch is given.
+fn boot(
+    scenario: &Scenario,
+    cfg: &RunConfig,
+    defects: SanDefectSet,
+    sanitize: bool,
+    scratch: Option<&mut ExecScratch>,
+) -> Bpf {
+    let mut kernel = match scratch {
+        Some(s) => s.boot_kernel(cfg.bugs.clone(), FUZZ_POOL_SIZE),
+        None => bvf_kernel_sim::Kernel::with_pool_size(cfg.bugs.clone(), FUZZ_POOL_SIZE),
     };
-    let mut san = SanStats::default();
-    if primary.accepted() != secondary.accepted() {
-        // Sanitation must never change the load verdict: instrumentation
-        // happens after verification.
-        san.runs = 1;
-        let kind = bvf_kernel_sim::report::SanDivergenceKind::ExecMismatch;
-        san.record(kind);
-        primary.reports.push(KernelReport::SanitizerDivergence {
-            kind,
+    kernel.mm.san_defects = defects;
+    let opts = VerifierOpts {
+        version: cfg.version,
+        snapshots: cfg.diff_oracle,
+        prune_index: cfg.prune_index,
+        ..Default::default()
+    };
+    let mut bpf = Bpf::with_kernel(kernel, opts, sanitize).with_backend(cfg.backend);
+    for def in standard_maps() {
+        bpf.map_create(def).expect("standard maps fit");
+    }
+    for (fd, key, value) in &scenario.map_seed {
+        let _ = bpf.map_update(*fd, key, value);
+    }
+    bpf
+}
+
+/// What exercising one loaded program produced; all empty when the load
+/// failed.
+#[derive(Default)]
+struct Exec {
+    reports: Vec<KernelReport>,
+    halt: Option<HaltReason>,
+    attach_rejected: bool,
+    steps: u64,
+    helper_calls: u64,
+    kfunc_calls: u64,
+    diff: DiffStats,
+    exec_hash: u64,
+    instrumented_steps: u64,
+}
+
+impl Exec {
+    fn view(&self) -> RunView<'_> {
+        RunView {
+            halt: self.halt,
+            exec_hash: self.exec_hash,
+            steps: self.steps,
+            instrumented_steps: self.instrumented_steps,
+            helper_calls: self.helper_calls,
+            kfunc_calls: self.kfunc_calls,
+            reports: &self.reports,
+        }
+    }
+}
+
+/// Runs the scenario's trigger against the loaded program, then hands
+/// the kernel's buffers back to `scratch`. With `snapshots` (the diff
+/// oracle) a test run is traced and checked against them.
+fn execute(
+    mut bpf: Bpf,
+    load: &Result<u32, BpfError>,
+    scenario: &Scenario,
+    snapshots: Option<&SnapshotStream>,
+    mut scratch: Option<&mut ExecScratch>,
+) -> Exec {
+    let mut exec = Exec::default();
+    if let Ok(id) = *load {
+        bpf.progs[id as usize].offloaded = scenario.offloaded;
+        match scenario.trigger {
+            Trigger::TestRun => {
+                let mut local_trace = ExecTrace::default();
+                let trace: &mut ExecTrace = match scratch.as_deref_mut() {
+                    Some(s) if snapshots.is_some() => s.trace_mut(),
+                    _ => &mut local_trace,
+                };
+                let run = if snapshots.is_some() {
+                    bpf.test_run_traced(id, &mut *trace)
+                } else {
+                    bpf.test_run(id)
+                };
+                match run {
+                    Ok(run) => {
+                        exec.reports.extend(run.reports);
+                        exec.halt = Some(run.exec.halt);
+                        exec.steps = run.exec.steps;
+                        exec.helper_calls = run.exec.helper_calls;
+                        exec.kfunc_calls = run.exec.kfunc_calls;
+                        exec.exec_hash = run.exec.exec_hash;
+                        exec.instrumented_steps = run.exec.instrumented_steps;
+                    }
+                    Err(_) => {
+                        exec.reports.extend(bpf.kernel.end_execution());
+                    }
+                }
+                // Membership check: every traced register value must
+                // lie inside the abstract state the verifier proved for
+                // that instruction (on at least one explored path). The
+                // trace prefix stays valid whatever halted execution —
+                // each step was recorded before its instruction ran.
+                if let (Some(snaps), Some(image)) = (snapshots, bpf.image(id)) {
+                    let (stats, divergence) = bvf_diff::check(snaps, trace, image.meta());
+                    exec.diff = stats;
+                    if let Some(d) = divergence {
+                        exec.reports.push(KernelReport::StateDivergence {
+                            pc: d.pc,
+                            reg: d.reg,
+                            abstract_state: d.abstract_state,
+                            concrete: d.concrete,
+                        });
+                    }
+                }
+            }
+            Trigger::Tracepoint(tp) => match bpf.prog_attach(id, AttachPoint::Tracepoint(tp)) {
+                Ok(()) => exec.reports.extend(bpf.trigger_tracepoint(tp)),
+                Err(_) => exec.attach_rejected = true,
+            },
+            Trigger::XdpReceive => {
+                let point = AttachPoint::Xdp {
+                    offloaded: scenario.offloaded,
+                };
+                match bpf.prog_attach(id, point) {
+                    Ok(()) => exec.reports.extend(bpf.xdp_receive()),
+                    Err(_) => exec.attach_rejected = true,
+                }
+            }
+            Trigger::GetXlated => {
+                let _ = bpf.prog_get_xlated(id);
+                exec.reports.extend(bpf.kernel.end_execution());
+            }
+        }
+    }
+    if let Some(s) = scratch {
+        s.reclaim(bpf);
+    }
+    exec
+}
+
+/// The dual-execution verdict: appends any disagreement between the
+/// sanitized and unsanitized passes to the sanitized pass's reports as
+/// [`KernelReport::SanitizerDivergence`] and counts it.
+fn compare_passes(san: &mut Exec, san_loaded: bool, raw: &Exec, raw_loaded: bool) -> SanStats {
+    let mut stats = SanStats {
+        runs: 1,
+        ..SanStats::default()
+    };
+    let divergences = if san_loaded != raw_loaded {
+        // Both passes install the same verified program, so only a
+        // failed sanitation rewrite can split the load verdicts.
+        vec![KernelReport::SanitizerDivergence {
+            kind: SanDivergenceKind::ExecMismatch,
             detail: format!(
-                "load verdicts differ: sanitized accepted={} unsanitized accepted={}",
-                primary.accepted(),
-                secondary.accepted()
+                "load verdicts differ: sanitized accepted={san_loaded} \
+                 unsanitized accepted={raw_loaded}"
             ),
-        });
-    } else if primary.accepted() {
-        san.runs = 1;
-        let divergences = bvf_sancheck::compare(
-            &RunView {
-                halt: primary.halt,
-                exec_hash: primary.exec_hash,
-                steps: primary.exec_steps,
-                instrumented_steps: primary.instrumented_steps,
-                helper_calls: primary.helper_calls,
-                kfunc_calls: primary.kfunc_calls,
-                reports: &primary.reports,
-            },
-            &RunView {
-                halt: secondary.halt,
-                exec_hash: secondary.exec_hash,
-                steps: secondary.exec_steps,
-                instrumented_steps: secondary.instrumented_steps,
-                helper_calls: secondary.helper_calls,
-                kfunc_calls: secondary.kfunc_calls,
-                reports: &secondary.reports,
-            },
-        );
-        for d in &divergences {
-            if let KernelReport::SanitizerDivergence { kind, .. } = d {
-                san.record(*kind);
-            }
+        }]
+    } else {
+        bvf_sancheck::compare(&san.view(), &raw.view())
+    };
+    for d in &divergences {
+        if let KernelReport::SanitizerDivergence { kind, .. } = d {
+            stats.record(*kind);
         }
-        primary.reports.extend(divergences);
     }
-    primary.san = san;
-    primary
+    san.reports.extend(divergences);
+    stats
 }
 
 #[cfg(test)]
@@ -458,6 +484,25 @@ mod tests {
         let out = run(&s, &RunConfig::new(BugSet::none()), None);
         assert!(!out.accepted());
         assert!(!out.cov.is_empty());
+    }
+
+    #[test]
+    fn load_verdict_mismatch_is_a_divergence() {
+        // Only a failed sanitation rewrite splits the verdicts, which
+        // generated programs never hit; pin the fold directly.
+        let mut san = Exec::default();
+        let stats = compare_passes(&mut san, false, &Exec::default(), true);
+        assert_eq!(
+            (stats.runs, stats.divergences, stats.exec_mismatch),
+            (1, 1, 1)
+        );
+        assert!(matches!(
+            san.reports.as_slice(),
+            [KernelReport::SanitizerDivergence {
+                kind: SanDivergenceKind::ExecMismatch,
+                ..
+            }]
+        ));
     }
 
     #[test]

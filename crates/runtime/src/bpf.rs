@@ -14,7 +14,9 @@ use bvf_kernel_sim::tracepoint::{AttachPoint, Tracepoint};
 use bvf_kernel_sim::{BugId, BugSet, Kernel, KernelReport};
 use bvf_telemetry::profile::elapsed_ns;
 use bvf_telemetry::PhaseTimings;
-use bvf_verifier::{verify, InsnMeta, RejectReason, VerifierError, VerifierOpts, VerifierPhase};
+use bvf_verifier::{
+    verify, InsnMeta, RejectReason, VerifiedProgram, VerifierError, VerifierOpts, VerifierPhase,
+};
 use std::time::Instant;
 
 use crate::compile::Backend;
@@ -123,10 +125,6 @@ pub struct Bpf {
     /// [`Backend::Compiled`], every image is lowered once at load time
     /// (amortized next to the pre-decode) and executed direct-threaded.
     backend: Backend,
-    /// Abstract-state snapshots of the most recent load, populated when
-    /// [`VerifierOpts::snapshots`] is set. Consumed by
-    /// [`Bpf::take_snapshots`].
-    last_snapshots: Option<bvf_verifier::SnapshotStream>,
 }
 
 impl Bpf {
@@ -146,7 +144,6 @@ impl Bpf {
             opts,
             sanitize,
             backend: Backend::Interp,
-            last_snapshots: None,
         }
     }
 
@@ -166,13 +163,6 @@ impl Bpf {
     /// so its buffers can be recycled by [`crate::ExecScratch`].
     pub fn into_mm(self) -> bvf_kernel_sim::alloc::Mm {
         self.kernel.mm
-    }
-
-    /// Takes the abstract-state snapshot stream recorded by the most
-    /// recent `prog_load`/`prog_load_with_cov` (empty unless
-    /// [`VerifierOpts::snapshots`] was set at boot).
-    pub fn take_snapshots(&mut self) -> Option<bvf_verifier::SnapshotStream> {
-        self.last_snapshots.take()
     }
 
     /// `BPF_MAP_CREATE`.
@@ -250,33 +240,11 @@ impl Bpf {
         prog_type: ProgType,
         offloaded: bool,
     ) -> Result<u32, BpfError> {
-        let outcome = verify(&self.kernel, prog, prog_type, &self.opts);
-        if self.opts.snapshots {
-            self.last_snapshots = Some(outcome.snapshots);
-        }
-        let vprog = outcome.result.map_err(BpfError::Verifier)?;
-
-        let (image_prog, image_meta, stats) = if self.sanitize {
-            let (p, m, s) = bvf_verifier::instrument(&vprog)
-                .map_err(|e| BpfError::sanitize_failed(e.to_string()))?;
-            (p, m, Some(s))
-        } else {
-            (vprog.prog.clone(), vprog.insn_meta.clone(), None)
-        };
-
-        let id = self.progs.len() as u32;
-        self.progs.push(LoadedProg {
-            id,
-            xlated: vprog,
-            sanitize_stats: stats,
-            offloaded,
-            attach: None,
-        });
-        let mut image = ExecImage::new(image_prog, image_meta, prog_type);
-        if self.backend == Backend::Compiled {
-            image.compile();
-        }
-        self.images.push(image);
+        let vprog = verify(&self.kernel, prog, prog_type, &self.opts)
+            .result
+            .map_err(BpfError::Verifier)?;
+        let id = self.prog_install(vprog, &mut PhaseTimings::default())?;
+        self.progs[id as usize].offloaded = offloaded;
         Ok(id)
     }
 
@@ -290,44 +258,50 @@ impl Bpf {
         prog_type: ProgType,
     ) -> (Result<u32, BpfError>, bvf_verifier::Coverage, PhaseTimings) {
         let outcome = verify(&self.kernel, prog, prog_type, &self.opts);
-        if self.opts.snapshots {
-            self.last_snapshots = Some(outcome.snapshots);
-        }
-        let cov = outcome.cov;
         let mut timings = outcome.timings;
-        match outcome.result {
-            Err(e) => (Err(BpfError::Verifier(e)), cov, timings),
-            Ok(vprog) => {
-                let (image_prog, image_meta, stats) = if self.sanitize {
-                    let t0 = Instant::now();
-                    let instrumented = bvf_verifier::instrument(&vprog);
-                    timings.sanitize_ns = elapsed_ns(t0);
-                    match instrumented {
-                        Ok((p, m, s)) => (p, m, Some(s)),
-                        Err(e) => {
-                            return (Err(BpfError::sanitize_failed(e.to_string())), cov, timings)
-                        }
-                    }
-                } else {
-                    (vprog.prog.clone(), vprog.insn_meta.clone(), None)
-                };
-                let id = self.progs.len() as u32;
-                let prog_type = vprog.prog_type;
-                self.progs.push(LoadedProg {
-                    id,
-                    xlated: vprog,
-                    sanitize_stats: stats,
-                    offloaded: false,
-                    attach: None,
-                });
-                let mut image = ExecImage::new(image_prog, image_meta, prog_type);
-                if self.backend == Backend::Compiled {
-                    image.compile();
-                }
-                self.images.push(image);
-                (Ok(id), cov, timings)
-            }
+        let load = outcome
+            .result
+            .map_err(BpfError::Verifier)
+            .and_then(|vprog| self.prog_install(vprog, &mut timings));
+        (load, outcome.cov, timings)
+    }
+
+    /// The post-verification half of a load: the optional sanitation
+    /// rewrite (billed to `timings.sanitize_ns`), the execution image,
+    /// and its lowering on the compiled backend.
+    ///
+    /// Verification reads the kernel but never changes it, so a program
+    /// verified against one boot installs unchanged into another boot of
+    /// the same configuration (same bugs, maps and seeds). The
+    /// dual-execution oracle relies on this to verify once and run twice.
+    pub fn prog_install(
+        &mut self,
+        vprog: VerifiedProgram,
+        timings: &mut PhaseTimings,
+    ) -> Result<u32, BpfError> {
+        let (image_prog, image_meta, stats) = if self.sanitize {
+            let t0 = Instant::now();
+            let instrumented = bvf_verifier::instrument(&vprog);
+            timings.sanitize_ns = elapsed_ns(t0);
+            let (p, m, s) = instrumented.map_err(|e| BpfError::sanitize_failed(e.to_string()))?;
+            (p, m, Some(s))
+        } else {
+            (vprog.prog.clone(), vprog.insn_meta.clone(), None)
+        };
+        let mut image = ExecImage::new(image_prog, image_meta, vprog.prog_type);
+        if self.backend == Backend::Compiled {
+            image.compile();
         }
+        let id = self.progs.len() as u32;
+        self.progs.push(LoadedProg {
+            id,
+            xlated: vprog,
+            sanitize_stats: stats,
+            offloaded: false,
+            attach: None,
+        });
+        self.images.push(image);
+        Ok(id)
     }
 
     /// `BPF_OBJ_GET_INFO_BY_FD`-style retrieval of the rewritten (xlated)
@@ -577,4 +551,79 @@ impl Bpf {
 /// (used when executing hand-built images in tests).
 pub fn empty_meta(prog: &Program) -> Vec<InsnMeta> {
     vec![InsnMeta::default(); prog.insn_count()]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bvf_isa::{asm, AluOp, JmpOp, Reg, Size};
+    use bvf_kernel_sim::map::MapType;
+
+    /// Looks up array slot 0 and reads through the value pointer: a map
+    /// address for the fixup pass to resolve and a memory access for
+    /// the sanitation rewrite to instrument.
+    fn map_reader() -> Program {
+        let mut insns = vec![asm::mov64_imm(Reg::R0, 0)];
+        insns.extend(asm::ld_map_fd(Reg::R1, 0));
+        insns.push(asm::mov64_reg(Reg::R2, Reg::R10));
+        insns.push(asm::alu64_imm(AluOp::Add, Reg::R2, -8));
+        insns.push(asm::st_mem(Size::W, Reg::R2, 0, 0));
+        insns.push(asm::call_helper(helper_ids::MAP_LOOKUP_ELEM as i32));
+        insns.push(asm::jmp_imm(JmpOp::Jeq, Reg::R0, 0, 1));
+        insns.push(asm::ldx_mem(Size::Dw, Reg::R0, Reg::R0, 0));
+        insns.push(asm::exit());
+        Program::from_insns(insns)
+    }
+
+    /// Whether the image runs something other than the xlated program,
+    /// i.e. whether the sanitation rewrite was applied.
+    fn image_rewritten(b: &Bpf, id: u32) -> bool {
+        b.image(id).unwrap().prog() != &b.progs[id as usize].xlated.prog
+    }
+
+    fn boot(sanitize: bool, backend: Backend) -> Bpf {
+        let mut b =
+            Bpf::new(BugSet::none(), VerifierOpts::default(), sanitize).with_backend(backend);
+        b.map_create(MapDef {
+            map_type: MapType::Array,
+            key_size: 4,
+            value_size: 16,
+            max_entries: 4,
+        })
+        .unwrap();
+        b
+    }
+
+    #[test]
+    fn load_is_verify_then_install() {
+        let prog = map_reader();
+        for sanitize in [false, true] {
+            for backend in [Backend::Interp, Backend::Compiled] {
+                let mut loaded = boot(sanitize, backend);
+                let (load, _, _) = loaded.prog_load_with_cov(&prog, ProgType::SocketFilter);
+                let a = load.expect("program verifies");
+
+                let mut split = boot(sanitize, backend);
+                let vprog = verify(&split.kernel, &prog, ProgType::SocketFilter, &split.opts)
+                    .result
+                    .expect("program verifies");
+                let b = split
+                    .prog_install(vprog, &mut PhaseTimings::default())
+                    .expect("program installs");
+
+                let (pa, pb) = (&loaded.progs[a as usize], &split.progs[b as usize]);
+                assert_eq!(format!("{:?}", pa.xlated), format!("{:?}", pb.xlated));
+                assert_eq!(pa.sanitize_stats, pb.sanitize_stats);
+                assert_eq!(pa.sanitize_stats.is_some(), sanitize);
+                assert_eq!(image_rewritten(&loaded, a), sanitize);
+                let (ia, ib) = (loaded.image(a).unwrap(), split.image(b).unwrap());
+                assert_eq!(ia.prog(), ib.prog());
+                assert_eq!(format!("{:?}", ia.meta()), format!("{:?}", ib.meta()));
+                assert_eq!(
+                    loaded.test_run(a).unwrap().exec.exec_hash,
+                    split.test_run(b).unwrap().exec.exec_hash
+                );
+            }
+        }
+    }
 }
