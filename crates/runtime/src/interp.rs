@@ -57,9 +57,10 @@ pub struct ExecImage {
     /// `prog.decode_at(pc)` would return there (`None` for undecodable
     /// positions), so the hot loop never re-decodes a replayed program.
     decoded: Vec<Option<(InsnKind, usize)>>,
-    /// The closure-compiled form, present when the owning [`crate::Bpf`]
-    /// loads with [`crate::Backend::Compiled`]. Shared behind an `Arc`
-    /// so cloning an image (or a registry) never recompiles.
+    /// The fused straight-line runs, present when the owning
+    /// [`crate::Bpf`] loads with [`crate::Backend::Compiled`]. Shared
+    /// behind an `Arc` so cloning an image (or a registry) never
+    /// recompiles.
     pub(crate) compiled: Option<Arc<CompiledProg>>,
 }
 
@@ -99,18 +100,12 @@ impl ExecImage {
         &self.meta
     }
 
-    /// Lowers the image into its closure-compiled direct-threaded form.
-    /// Idempotent; the result is cached on the image.
+    /// Lowers the image's straight-line runs into fused form (see
+    /// [`crate::compile`]). Idempotent; the result is cached on the image.
     pub fn compile(&mut self) {
         if self.compiled.is_none() {
             self.compiled = Some(Arc::new(crate::compile::compile_image(self)));
         }
-    }
-
-    /// Whether the image carries a compiled form.
-    #[inline]
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
     }
 
     /// The pre-decoded instruction starting at `pc` and its slot count.
@@ -188,11 +183,11 @@ pub struct ExecResult {
     pub exec_hash: u64,
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds one 64-bit word into an FNV-1a accumulator.
-pub(crate) fn fnv_fold(mut h: u64, v: u64) -> u64 {
+fn fnv_fold(mut h: u64, v: u64) -> u64 {
     for b in v.to_le_bytes() {
         h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
@@ -200,13 +195,13 @@ pub(crate) fn fnv_fold(mut h: u64, v: u64) -> u64 {
 }
 
 #[derive(Clone, Copy)]
-pub(crate) struct Frame {
-    pub(crate) return_pc: usize,
-    pub(crate) stack_addr: u64,
+struct Frame {
+    return_pc: usize,
+    stack_addr: u64,
 }
 
 /// Maximum nested bpf-to-bpf call frames (kernel `MAX_CALL_FRAMES - 1`).
-pub(crate) const MAX_FRAMES: usize = 8;
+const MAX_FRAMES: usize = 8;
 
 /// Maximum steps recorded into an [`ExecTrace`]. Steps past the cap are
 /// dropped (and flagged), but every *recorded* step remains a valid
@@ -236,7 +231,7 @@ pub struct ExecTrace {
 }
 
 impl ExecTrace {
-    pub(crate) fn record(&mut self, pc: usize, regs: &[u64; 12]) {
+    fn record(&mut self, pc: usize, regs: &[u64; 12]) {
         if self.steps.len() >= TRACE_STEP_CAP {
             self.truncated = true;
             return;
@@ -266,6 +261,10 @@ pub fn exec_program(
 /// is `Some`, every main-frame step of the triggered program records
 /// `(pc, R0..R10)` before the instruction executes. Tracing stops at a
 /// tail-call image switch (the successor was verified separately).
+///
+/// This is the one execution loop of both backends: on an image with a
+/// compiled form, a fetch landing in a fused straight-line run executes
+/// the rest of the run at once (see [`crate::compile`]).
 #[allow(clippy::too_many_arguments)]
 pub fn exec_program_traced(
     kernel: &mut Kernel,
@@ -276,15 +275,6 @@ pub fn exec_program_traced(
     depth: u32,
     mut trace: Option<&mut ExecTrace>,
 ) -> ExecResult {
-    // Backend dispatch: an image carrying a compiled form runs on the
-    // closure-compiled executor (identical observable semantics; see
-    // `crate::compile` for the equivalence contract).
-    if progs
-        .get(prog_id as usize)
-        .is_some_and(|image| image.compiled.is_some())
-    {
-        return crate::compile::exec_compiled(kernel, progs, attach, prog_id, trig, depth, trace);
-    }
     let mut steps: u64 = 0;
     if depth > MAX_TP_DEPTH {
         return ExecResult {
@@ -374,6 +364,32 @@ pub fn exec_program_traced(
     let mut r0_out = None;
 
     'run: loop {
+        // Fused-run fast path (compiled images only): a fetch landing on
+        // a run member executes the rest of the run at once. Taken only
+        // when the run is untraced, fits under the step limit whole, and
+        // no fatal report is already pending (a nested tracepoint
+        // execution can begin with one, and the per-step path must then
+        // halt after exactly one more op); otherwise the members run one
+        // by one below.
+        if let (Some(compiled), None) = (image.compiled.as_deref(), trace.as_deref()) {
+            if let Some(run) = compiled.entry(pc) {
+                if steps + run.steps() <= STEP_LIMIT && !kernel.reports.any_fatal() {
+                    let (ran, emitted, stop) = compiled.exec_run(run, kernel, &mut regs);
+                    steps += ran;
+                    instrumented_steps += emitted;
+                    if let Some(h) = stop {
+                        halt = h;
+                        break 'run;
+                    }
+                    pc = run.end;
+                    if pc >= image.prog.insn_count() {
+                        halt = HaltReason::BadInstruction;
+                        break 'run;
+                    }
+                    continue;
+                }
+            }
+        }
         steps += 1;
         if steps > STEP_LIMIT {
             halt = HaltReason::StepLimit;
@@ -563,55 +579,13 @@ pub fn exec_program_traced(
             }
             InsnKind::Call { target } => match target {
                 CallTarget::Helper(id) if asan_ids::is_asan(id as u32) => {
-                    let id = id as u32;
                     let orig_pc = image.prog.insns()[pc].off as usize;
-                    let trapped = match id {
-                        asan_ids::ALU_CHECK_UP | asan_ids::ALU_CHECK_DOWN => !asan::asan_alu_check(
-                            kernel,
-                            regs[Reg::R1.index()],
-                            regs[Reg::R2.index()],
-                            id == asan_ids::ALU_CHECK_DOWN,
-                            orig_pc,
-                        ),
-                        _ => {
-                            let is_store = id >= asan_ids::STORE_BASE;
-                            let mut size = 1u64
-                                << (id
-                                    - if is_store {
-                                        asan_ids::STORE_BASE
-                                    } else {
-                                        asan_ids::LOAD_BASE
-                                    });
-                            // Injected defect: the dispatch decodes the
-                            // access width one power of two short.
-                            if kernel.mm.san_defects.has(SanDefect::LoadSizeConfusion) {
-                                size = (size >> 1).max(1);
-                            }
-                            // Injected defect: read/write polarity flipped
-                            // when deriving `is_write` from the function id.
-                            let is_write =
-                                is_store != kernel.mm.san_defects.has(SanDefect::WritePolarity);
-                            let addr = regs[Reg::R1.index()];
-                            matches!(
-                                asan::asan_mem_check(kernel, addr, size, is_write, meta.ex_handled),
-                                AsanOutcome::Reported
-                            )
-                        }
-                    };
-                    if trapped {
+                    let compiled = image.compiled.is_some();
+                    let ex = meta.ex_handled;
+                    if asan_call(kernel, &mut regs, id as u32, orig_pc, ex, compiled) {
                         halt = HaltReason::SanitizerTrap;
                         break 'run;
                     }
-                    // Injected defect: the check trampoline scribbles over
-                    // the caller's `R0` spill slot, so the restore emitted
-                    // after this call reloads garbage.
-                    if kernel.mm.san_defects.has(SanDefect::ScratchClobber) {
-                        let slot = regs[Reg::R10.index()].wrapping_add_signed(EXT_SLOT_R0 as i64);
-                        kernel.mm.pool.raw_write(slot, 8, 0xdead_5ca7_c10b_be45);
-                    }
-                    // The sanitizing functions preserve R1-R5 by
-                    // construction (the prologue restores R0/R1 anyway).
-                    regs[Reg::R0.index()] = 0;
                 }
                 CallTarget::Helper(id) => {
                     helper_calls += 1;
@@ -728,6 +702,75 @@ pub fn exec_program_traced(
     }
 }
 
+/// The `bpf_asan_*` dispatch, shared by the per-step path and the fused
+/// sanitation thunk: runs the check function `id` names on the argument
+/// registers and, unless it traps, returns with `R0 = 0`. `orig_pc` is
+/// the original instruction an ALU-limit check reports, `ex` the
+/// access's exception-table entry, and `compiled` whether the image
+/// runs on the compiled backend. Returns whether the check trapped.
+pub(crate) fn asan_call(
+    kernel: &mut Kernel,
+    regs: &mut [u64; 12],
+    id: u32,
+    orig_pc: usize,
+    ex: bool,
+    compiled: bool,
+) -> bool {
+    let defects = &kernel.mm.san_defects;
+    let trapped = match id {
+        asan_ids::ALU_CHECK_UP | asan_ids::ALU_CHECK_DOWN => !asan::asan_alu_check(
+            kernel,
+            regs[Reg::R1.index()],
+            regs[Reg::R2.index()],
+            id == asan_ids::ALU_CHECK_DOWN,
+            orig_pc,
+        ),
+        // Injected compile-layer defect: the memory check of a compiled
+        // image elides the dispatch entirely — no check, no clobber,
+        // just the R0 effect.
+        _ if compiled && defects.has(SanDefect::FusedCheckElision) => {
+            regs[Reg::R0.index()] = 0;
+            return false;
+        }
+        _ => {
+            let is_store = id >= asan_ids::STORE_BASE;
+            let base = if is_store {
+                asan_ids::STORE_BASE
+            } else {
+                asan_ids::LOAD_BASE
+            };
+            let mut size = 1u64 << (id - base);
+            // Injected defect: the dispatch decodes the access width one
+            // power of two short.
+            if defects.has(SanDefect::LoadSizeConfusion) {
+                size = (size >> 1).max(1);
+            }
+            // Injected defect: read/write polarity flipped when deriving
+            // `is_write` from the function id.
+            let is_write = is_store != defects.has(SanDefect::WritePolarity);
+            let addr = regs[Reg::R1.index()];
+            matches!(
+                asan::asan_mem_check(kernel, addr, size, is_write, ex),
+                AsanOutcome::Reported
+            )
+        }
+    };
+    if trapped {
+        return true;
+    }
+    // Injected defect: the check trampoline scribbles over the caller's
+    // `R0` spill slot, so the restore emitted after this call reloads
+    // garbage.
+    if kernel.mm.san_defects.has(SanDefect::ScratchClobber) {
+        let slot = regs[Reg::R10.index()].wrapping_add_signed(EXT_SLOT_R0 as i64);
+        kernel.mm.pool.raw_write(slot, 8, 0xdead_5ca7_c10b_be45);
+    }
+    // The sanitizing functions preserve R1-R5 by construction (the
+    // prologue restores R0/R1 anyway).
+    regs[Reg::R0.index()] = 0;
+    false
+}
+
 /// Fires a tracepoint: every attached program runs in a nested context.
 pub fn fire_tracepoint(
     kernel: &mut Kernel,
@@ -759,7 +802,7 @@ pub fn fire_tracepoint(
     }
 }
 
-pub(crate) fn prog_array_slot(kernel: &Kernel, map_id: u32, index: u32) -> Option<u32> {
+fn prog_array_slot(kernel: &Kernel, map_id: u32, index: u32) -> Option<u32> {
     let map = kernel.maps.get(map_id)?;
     match &map.storage {
         MapStorage::ProgArray { slots } => {
@@ -774,7 +817,7 @@ pub(crate) fn prog_array_slot(kernel: &Kernel, map_id: u32, index: u32) -> Optio
     }
 }
 
-pub(crate) fn packet_load(kernel: &Kernel, env: &HelperEnv, off: i64, size: Size) -> Option<u64> {
+fn packet_load(kernel: &Kernel, env: &HelperEnv, off: i64, size: Size) -> Option<u64> {
     if off < 0 || (off as u64).saturating_add(size.bytes() as u64) > env.packet_len {
         return None;
     }
@@ -791,7 +834,7 @@ pub(crate) fn packet_load(kernel: &Kernel, env: &HelperEnv, off: i64, size: Size
     })
 }
 
-pub(crate) fn truncate(v: u64, size: Size) -> u64 {
+fn truncate(v: u64, size: Size) -> u64 {
     match size {
         Size::B => v as u8 as u64,
         Size::H => v as u16 as u64,
@@ -866,7 +909,7 @@ pub(crate) fn endian(e: Endianness, bits: i32, v: u64) -> u64 {
     }
 }
 
-pub(crate) fn jmp_taken(op: JmpOp, is32: bool, a: u64, b: u64) -> bool {
+fn jmp_taken(op: JmpOp, is32: bool, a: u64, b: u64) -> bool {
     if is32 {
         let (a, b) = (a as u32, b as u32);
         let (sa, sb) = (a as i32, b as i32);
