@@ -14,12 +14,20 @@
 //! Usage: `ablation [--iters N]`
 
 use bvf::baseline::GeneratorKind;
+use bvf::cli::{val, Args, Command};
 use bvf::fuzz::CampaignConfig;
-use bvf_bench::{arg_usize, render_table, run_campaign_with_stats, save_json};
+use bvf_bench::{render_table, run_campaign_with_stats, save_json};
 use bvf_kernel_sim::BugId;
 
+const CLI: Command = Command {
+    name: "ablation",
+    positional: (0, 0),
+    flags: &[&[val("--iters")]],
+};
+
 fn main() {
-    let iters = arg_usize("--iters", 8_000);
+    let args = Args::from_env(&CLI, "usage: ablation [--iters N]");
+    let iters = args.parsed_or("--iters", 8_000);
 
     let configs: Vec<(&str, CampaignConfig)> = vec![
         (

@@ -12,11 +12,19 @@
 //! Usage: `acceptance_rate [--iters N]`
 
 use bvf::baseline::GeneratorKind;
+use bvf::cli::{val, Args, Command};
 use bvf::fuzz::CampaignConfig;
-use bvf_bench::{arg_usize, render_table, run_campaign_with_stats, save_json};
+use bvf_bench::{render_table, run_campaign_with_stats, save_json};
+
+const CLI: Command = Command {
+    name: "acceptance_rate",
+    positional: (0, 0),
+    flags: &[&[val("--iters")]],
+};
 
 fn main() {
-    let iters = arg_usize("--iters", 2_000);
+    let args = Args::from_env(&CLI, "usage: acceptance_rate [--iters N]");
+    let iters = args.parsed_or("--iters", 2_000);
     let tools = [
         GeneratorKind::Bvf,
         GeneratorKind::Syzkaller,

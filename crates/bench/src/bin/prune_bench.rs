@@ -19,14 +19,30 @@
 //! Usage: `prune_bench [--iters N] [--seed S] [--quick] [--check]`
 
 use bvf::baseline::GeneratorKind;
+use bvf::cli::{bare, val, Args, Command};
 use bvf::fuzz::CampaignConfig;
-use bvf_bench::{arg_flag, arg_usize, render_table, run_campaign_with_stats, save_json};
+use bvf_bench::{render_table, run_campaign_with_stats, save_json};
+
+const CLI: Command = Command {
+    name: "prune_bench",
+    positional: (0, 0),
+    flags: &[&[
+        val("--iters"),
+        val("--seed"),
+        bare("--quick"),
+        bare("--check"),
+    ]],
+};
 
 fn main() {
-    let quick = arg_flag("--quick");
-    let check = arg_flag("--check");
-    let iters = arg_usize("--iters", if quick { 2_000 } else { 20_000 });
-    let seed = arg_usize("--seed", 41) as u64;
+    let args = Args::from_env(
+        &CLI,
+        "usage: prune_bench [--iters N] [--seed S] [--quick] [--check]",
+    );
+    let quick = args.flag("--quick");
+    let check = args.flag("--check");
+    let iters = args.parsed_or("--iters", if quick { 2_000 } else { 20_000 });
+    let seed = args.parsed_or("--seed", 41);
 
     let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, iters, seed);
     eprintln!("prune_bench: {iters} iterations, seed {seed}, index on vs off");

@@ -16,9 +16,10 @@
 
 use std::time::Instant;
 
+use bvf::cli::{val, Args, Command};
 use bvf::gen::{GenConfig, StructuredGen};
 use bvf::scenario::{standard_maps, Scenario};
-use bvf_bench::{arg_usize, render_table, save_json};
+use bvf_bench::{render_table, save_json};
 use bvf_kernel_sim::BugSet;
 use bvf_runtime::Bpf;
 use bvf_verifier::VerifierOpts;
@@ -48,9 +49,19 @@ fn has_mem_access(prog: &bvf_isa::Program) -> bool {
     })
 }
 
+const CLI: Command = Command {
+    name: "sanitation_overhead",
+    positional: (0, 0),
+    flags: &[&[val("--corpus"), val("--repeats")]],
+};
+
 fn main() {
-    let corpus_target = arg_usize("--corpus", 708);
-    let repeats = arg_usize("--repeats", 3);
+    let args = Args::from_env(
+        &CLI,
+        "usage: sanitation_overhead [--corpus N] [--repeats K]",
+    );
+    let corpus_target = args.parsed_or("--corpus", 708);
+    let repeats = args.parsed_or("--repeats", 3);
 
     // Build the corpus: accepted programs containing load/stores
     // ("tests without any load/store are skipped since they cannot

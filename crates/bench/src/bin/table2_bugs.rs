@@ -11,13 +11,21 @@
 use std::collections::BTreeMap;
 
 use bvf::baseline::GeneratorKind;
+use bvf::cli::{val, Args, Command};
 use bvf::fuzz::CampaignConfig;
-use bvf_bench::{arg_usize, render_table, run_campaign_with_stats, save_json};
+use bvf_bench::{render_table, run_campaign_with_stats, save_json};
 use bvf_kernel_sim::BugId;
 
+const CLI: Command = Command {
+    name: "table2_bugs",
+    positional: (0, 0),
+    flags: &[&[val("--iters"), val("--seeds")]],
+};
+
 fn main() {
-    let iters = arg_usize("--iters", 12_000);
-    let seeds = arg_usize("--seeds", 3);
+    let args = Args::from_env(&CLI, "usage: table2_bugs [--iters N] [--seeds K]");
+    let iters = args.parsed_or("--iters", 12_000);
+    let seeds = args.parsed_or("--seeds", 3);
 
     let tools = [
         GeneratorKind::Bvf,

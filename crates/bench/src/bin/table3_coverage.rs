@@ -13,14 +13,25 @@
 //! Usage: `table3_coverage [--iters N] [--seeds K] [--series]`
 
 use bvf::baseline::GeneratorKind;
+use bvf::cli::{bare, val, Args, Command};
 use bvf::fuzz::CampaignConfig;
-use bvf_bench::{arg_flag, arg_usize, render_table, run_campaign_with_stats, save_json};
+use bvf_bench::{render_table, run_campaign_with_stats, save_json};
 use bvf_verifier::KernelVersion;
 
+const CLI: Command = Command {
+    name: "table3_coverage",
+    positional: (0, 0),
+    flags: &[&[val("--iters"), val("--seeds"), bare("--series")]],
+};
+
 fn main() {
-    let iters = arg_usize("--iters", 6_000);
-    let seeds = arg_usize("--seeds", 3);
-    let series = arg_flag("--series");
+    let args = Args::from_env(
+        &CLI,
+        "usage: table3_coverage [--iters N] [--seeds K] [--series]",
+    );
+    let iters = args.parsed_or("--iters", 6_000);
+    let seeds = args.parsed_or("--seeds", 3);
+    let series = args.flag("--series");
 
     let tools = [
         GeneratorKind::Bvf,

@@ -68,32 +68,6 @@ pub fn save_json(name: &str, value: &serde_json::Value) {
     }
 }
 
-/// The argv value following flag `name`, if present.
-pub fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args().skip_while(|a| a != name);
-    args.next()?;
-    args.next()
-}
-
-/// Exits 2 with a usage error for flag `name`'s unparsable value: a
-/// mistyped number must not silently fall back to a default.
-pub fn invalid_value(name: &str, value: &str) -> ! {
-    eprintln!("invalid value for {name}: {value:?}");
-    std::process::exit(2)
-}
-
-/// Parses `--iters N` / `--seeds N` style overrides from argv.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_value(name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| invalid_value(name, &v))
-    })
-}
-
-/// Whether a bare flag is present.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

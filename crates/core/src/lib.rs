@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod cli;
 pub mod corpus;
 pub mod fuzz;
 pub mod gen;
