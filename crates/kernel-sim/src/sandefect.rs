@@ -54,10 +54,11 @@ pub enum SanDefect {
     /// the register restored after the check is garbage — the sanitizer
     /// breaks the program state it promised to preserve.
     ScratchClobber,
-    /// The compiled backend's fused memory-check thunk takes its fast
-    /// path without ever dispatching to `asan_mem_check` — the compile
-    /// step elided the check it promised to fuse (false negative,
-    /// compile-layer only; the interpreter is deliberately unaffected).
+    /// The compiled backend's memory check — the fused sanitation thunk
+    /// and the per-step path of a compiled image alike — returns without
+    /// ever dispatching to `asan_mem_check`: the compile layer elided
+    /// the check it promised to fuse (false negative, compile-layer
+    /// only; interp images are deliberately unaffected).
     FusedCheckElision,
 }
 

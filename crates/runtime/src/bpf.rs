@@ -122,8 +122,9 @@ pub struct Bpf {
     /// toggle from the paper's patches).
     pub sanitize: bool,
     /// Which execution engine loaded programs run on. With
-    /// [`Backend::Compiled`], every image is lowered once at load time
-    /// (amortized next to the pre-decode) and executed direct-threaded.
+    /// [`Backend::Compiled`], every image's straight-line runs are
+    /// lowered once at load time (amortized next to the pre-decode) and
+    /// executed fused.
     backend: Backend,
 }
 

@@ -551,12 +551,12 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
     });
 
     // fused-check-elision: the same lookup → delete → use UAF, pinned to
-    // the compiled backend. The correct fused thunk dispatches to
-    // `asan_mem_check` and traps the read; the defective thunk takes its
-    // fast path without dispatching, the access sails through exactly
-    // like the unsanitized run, and the divergence disappears. The
-    // interpreter is deliberately unaffected, so only a compiled-backend
-    // matrix run can catch this class.
+    // the compiled backend. The correct memory check dispatches to
+    // `asan_mem_check` and traps the read; the defective one returns
+    // without dispatching, the access sails through exactly like the
+    // unsanitized run, and the divergence disappears. Interp images are
+    // deliberately unaffected, so only a compiled-backend matrix run can
+    // catch this class.
     let mut insns = vec![asm::mov64_imm(Reg::R0, 0)];
     lookup(&mut insns, 1, Size::Dw, 5);
     insns.push(asm::jmp_imm(JmpOp::Jeq, Reg::R0, 0, 8));
