@@ -88,6 +88,12 @@ fn unknown_valueless_and_repeated_flags_exit_2() {
             "--seeds given twice",
         ),
         ("ablation", &["8000"][..], "wrong number of arguments"),
+        // A retired mode must break the script that asks for it.
+        (
+            "throughput",
+            &["--exec-micro"][..],
+            "unknown flag \"--exec-micro\"",
+        ),
     ] {
         assert_usage_error(bin(name), args, needle, &dir);
     }
@@ -128,7 +134,7 @@ fn unwritable_results_exit_1() {
     // cannot be created.
     let dir = scratch_dir("save");
     std::fs::write(dir.join("bench_results"), "not a directory").expect("write blocker");
-    let out = throughput(&["--exec-micro", "--execs", "1"], &dir);
+    let out = throughput(&["--iters", "1", "--diff-oracle"], &dir);
     let stderr = String::from_utf8_lossy(&out.stderr);
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(out.status.code(), Some(1), "{stderr}");

@@ -111,6 +111,20 @@ fn unknown_flags_exit_2_with_the_closest_name() {
         "unknown flag \"--matrx\"; did you mean --matrix?",
     );
     assert_usage_error(&["fuzz", "--frobnicate"], "unknown flag \"--frobnicate\"");
+    // Retired flags and defects: a script still passing them must
+    // break, not run on silently.
+    assert_usage_error(
+        &["fuzz", "--backend", "compiled"],
+        "bvf fuzz: unknown flag \"--backend\"",
+    );
+    assert_usage_error(
+        &["worker", "--connect", "127.0.0.1:1", "--backend", "interp"],
+        "bvf worker: unknown flag \"--backend\"",
+    );
+    assert_usage_error(
+        &["fuzz", "--san-diff", "--san-defect", "fused-check-elision"],
+        "unknown sanitizer defect \"fused-check-elision\"",
+    );
     // Flags are per subcommand: a replay has no iteration count.
     assert_usage_error(
         &[
@@ -149,4 +163,18 @@ fn help_prints_usage_instead_of_running() {
         assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
         assert!(!stdout.contains("iterations"), "{args:?} ran: {stdout}");
     }
+}
+
+#[test]
+fn unwritable_findings_dir_exits_1() {
+    // `/dev/null` is not a directory, so nothing can be created under
+    // it: a filesystem error exits 1 with a message, never a panic.
+    let out = bvf(&["fuzz", "--iters", "10", "--save-findings", "/dev/null/x"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot create findings dir /dev/null/x"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

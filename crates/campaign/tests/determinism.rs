@@ -278,32 +278,24 @@ fn steered_campaigns_are_worker_count_invariant() {
 }
 
 #[test]
-fn compiled_and_interp_backends_merge_byte_identically() {
-    // `--backend` is a throughput knob, never a result knob: the same
-    // campaign config run on the interpreter and on the compiled
-    // backend must merge to byte-identical results — findings, errno
-    // histogram, coverage, timeline, floating-point means — at one
-    // worker and at two, with both oracles (diff + san-diff) armed so
-    // the per-step trace streams and divergence counters are compared,
-    // not just final verdicts.
-    let mut interp_cfg = config(400, 20_240_601);
-    interp_cfg.diff_oracle = true;
-    interp_cfg.san_diff = true;
-    interp_cfg.backend = bvf_runtime::Backend::Interp;
-    let mut compiled_cfg = interp_cfg.clone();
-    compiled_cfg.backend = bvf_runtime::Backend::Compiled;
+fn both_oracles_merge_identically_at_one_and_two_workers() {
+    // With the diff oracle and san-diff armed together, the merged
+    // result — findings, errno histogram, coverage, timeline,
+    // floating-point means, and both oracles' counters — must not
+    // depend on the worker count, so the per-step trace streams and
+    // divergence counters are compared, not just final verdicts.
+    let mut cfg = config(400, 20_240_601);
+    cfg.diff_oracle = true;
+    cfg.san_diff = true;
 
-    for workers in [1usize, 2] {
-        let pcfg = ParallelConfig::new(workers);
-        let interp = run_sharded(&interp_cfg, &pcfg).result;
-        let compiled = run_sharded(&compiled_cfg, &pcfg).result;
-        let what = format!("interp vs compiled at {workers} workers");
-        assert_identical(&interp, &compiled, &what);
-        assert_eq!(interp.diff, compiled.diff, "{what}: diff stats");
-        assert_eq!(interp.san, compiled.san, "{what}: san-diff stats");
-        assert!(interp.diff.steps_checked > 0, "{what}: oracle must run");
-        assert!(interp.san.runs > 0, "{what}: san oracle must run");
-    }
+    let one = run_sharded(&cfg, &ParallelConfig::new(1)).result;
+    let two = run_sharded(&cfg, &ParallelConfig::new(2)).result;
+    let what = "both oracles, 1 vs 2 workers";
+    assert_identical(&one, &two, what);
+    assert_eq!(one.diff, two.diff, "{what}: diff stats");
+    assert_eq!(one.san, two.san, "{what}: san-diff stats");
+    assert!(one.diff.steps_checked > 0, "{what}: oracle must run");
+    assert!(one.san.runs > 0, "{what}: san oracle must run");
 }
 
 /// The property-test campaign: small (the vendored proptest runs a

@@ -4,22 +4,22 @@
 //! bvf fuzz    [--iters N] [--seed S] [--generator bvf|syzkaller|buzzer|buzzer-random]
 //!             [--bugs all|none|<name,...>] [--version v5.15|v6.1|bpf-next]
 //!             [--no-sanitize] [--no-triage] [--no-feedback] [--diff-oracle] [--steer]
-//!             [--san-diff] [--san-defect LIST] [--backend interp|compiled]
-//!             [--workers N] [--batch-len N] [--exchange-every N] [--exchange-batch N]
+//!             [--san-diff] [--san-defect LIST] [--workers N]
+//!             [--batch-len N] [--exchange-every N] [--exchange-batch N]
 //!             [--chaos S] [--corpus-in FILE] [--corpus-out FILE]
 //!             [--trace-out FILE] [--json-out FILE] [--stats-every N]
 //!             [--snapshot-every N] [--save-findings DIR]
 //! bvf serve   --listen ADDR [--state DIR] [--lease-timeout SECS]
-//! bvf worker  --connect ADDR [--poll-ms N] [--max-batches N] [--backend interp|compiled]
+//! bvf worker  --connect ADDR [--poll-ms N] [--max-batches N]
 //! bvf report  <trace.jsonl>
 //! bvf corpus export --out FILE [fuzz options]
 //! bvf corpus import <snap.json>... [--out FILE]
 //! bvf corpus info   <snap.json>
 //! bvf replay  <scenario.json> [--bugs ...] [--version ...] [--no-sanitize]
-//!             [--diff-oracle] [--san-diff] [--san-defect LIST] [--backend B]
+//!             [--diff-oracle] [--san-diff] [--san-defect LIST]
 //! bvf minimize <scenario.json> [--bugs ...] [--version ...] [--no-sanitize]
-//!             [--diff-oracle] [--san-diff] [--san-defect LIST] [--out FILE] [--backend B]
-//! bvf sancheck [--matrix] [--version ...] [--json-out FILE] [--backend B]
+//!             [--diff-oracle] [--san-diff] [--san-defect LIST] [--out FILE]
+//! bvf sancheck [--matrix] [--version ...] [--json-out FILE]
 //! bvf disasm  <scenario.json | program.bin>
 //! bvf bugs    # list injectable defects
 //! ```
@@ -53,21 +53,9 @@
 //! a state divergence. Replay and minimize must be given the same flag
 //! to reproduce Indicator #3 findings.
 //!
-//! `--backend interp|compiled` picks the execution engine. `compiled`
-//! (the `fuzz`/`worker` default) is the interpreter loop plus fused
-//! straight-line runs — each verifier-accepted image's runs of ALU,
-//! load/store and sanitation-check ops lowered once, operands
-//! pre-resolved — and is execution-equivalent to the interpreter:
-//! findings, step counts, exec hashes, and oracle verdicts are
-//! byte-identical across backends, so the flag is a throughput knob,
-//! never a result knob.
-//! One-shot `replay`/`minimize`/`sancheck` default to `interp`, where
-//! compiling a program run once would be pure overhead. Triage replays
-//! run on the same backend as the command that triggers them.
-//!
 //! `fuzz`, `corpus export`, `replay` and `minimize` read the scenario-run
 //! flags (`--bugs`, `--version`, `--no-sanitize`, `--diff-oracle`,
-//! `--san-diff`, `--san-defect`, `--backend`) through one parser, so a
+//! `--san-diff`, `--san-defect`) through one parser, so a
 //! finding replays and minimizes with the flags of the campaign that
 //! found it. `--no-sanitize` with `--san-diff` is an error: the dual run
 //! is sanitized, then unsanitized, by definition.
@@ -126,29 +114,28 @@ use bvf::scenario::{run, RunConfig, Sanitation, Scenario};
 use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
-use bvf_runtime::Backend;
 use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceEvent, TraceSink};
 use bvf_verifier::KernelVersion;
 
 const USAGE: &str = "usage:\n  \
          bvf fuzz   [--iters N] [--seed S] [--generator G] [--bugs SPEC] [--version V]\n             \
          [--no-sanitize] [--no-triage] [--no-feedback] [--diff-oracle] [--steer]\n             \
-         [--san-diff] [--san-defect LIST] [--backend interp|compiled] [--workers N]\n             \
+         [--san-diff] [--san-defect LIST] [--workers N]\n             \
          [--batch-len N] [--exchange-every N] [--exchange-batch N]\n             \
          [--chaos S] [--corpus-in FILE] [--corpus-out FILE]\n             \
          [--trace-out FILE] [--json-out FILE] [--stats-every N]\n             \
          [--snapshot-every N] [--save-findings DIR] [--remote ADDR]\n  \
          bvf serve --listen ADDR [--state DIR] [--lease-timeout SECS]\n  \
-         bvf worker --connect ADDR [--poll-ms N] [--max-batches N] [--backend B]\n  \
+         bvf worker --connect ADDR [--poll-ms N] [--max-batches N]\n  \
          bvf report <trace.jsonl>\n  \
          bvf corpus export --out FILE [fuzz options]\n  \
          bvf corpus import <snap.json>... [--out FILE]\n  \
          bvf corpus info <snap.json>\n  \
          bvf replay <scenario.json> [--bugs SPEC] [--version V] [--no-sanitize] [--diff-oracle]\n             \
-         [--san-diff] [--san-defect LIST] [--backend B]\n  \
+         [--san-diff] [--san-defect LIST]\n  \
          bvf minimize <scenario.json> [--bugs SPEC] [--version V] [--no-sanitize]\n             \
-         [--diff-oracle] [--san-diff] [--san-defect LIST] [--jobs N] [--out FILE] [--backend B]\n  \
-         bvf sancheck [--matrix] [--version V] [--json-out FILE] [--backend B]\n  \
+         [--diff-oracle] [--san-diff] [--san-defect LIST] [--jobs N] [--out FILE]\n  \
+         bvf sancheck [--matrix] [--version V] [--json-out FILE]\n  \
          bvf disasm <scenario.json|program.bin>\n  \
          bvf bugs";
 
@@ -165,7 +152,6 @@ const RUN_FLAGS: &[Flag] = &[
     bare("--diff-oracle"),
     bare("--san-diff"),
     val("--san-defect"),
-    val("--backend"),
 ];
 
 /// The campaign flags `campaign_config` and `parse_workers` read.
@@ -211,12 +197,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "bvf worker",
         positional: (0, 0),
-        flags: &[&[
-            val("--connect"),
-            val("--poll-ms"),
-            val("--max-batches"),
-            val("--backend"),
-        ]],
+        flags: &[&[val("--connect"), val("--poll-ms"), val("--max-batches")]],
     },
     Command {
         name: "bvf report",
@@ -251,12 +232,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "bvf sancheck",
         positional: (0, 0),
-        flags: &[&[
-            bare("--matrix"),
-            val("--version"),
-            val("--json-out"),
-            val("--backend"),
-        ]],
+        flags: &[&[bare("--matrix"), val("--version"), val("--json-out")]],
     },
     Command {
         name: "bvf disasm",
@@ -339,21 +315,6 @@ fn parse_san_defects(spec: &str) -> SanDefectSet {
     set
 }
 
-/// `--backend` for the command at hand; `default` is the command's
-/// documented default (compiled for campaigns, interp for one-shot
-/// replays — both produce byte-identical results by the equivalence
-/// contract, so the default is a performance choice, not a behavioral
-/// one).
-fn parse_backend(args: &Args, default: Backend) -> Backend {
-    match args.opt("--backend") {
-        None => default,
-        Some(spec) => Backend::from_name(spec).unwrap_or_else(|| {
-            eprintln!("unknown backend {spec:?}; known: interp, compiled");
-            exit(2);
-        }),
-    }
-}
-
 fn parse_generator(spec: &str) -> GeneratorKind {
     match spec {
         "bvf" => GeneratorKind::Bvf,
@@ -402,9 +363,8 @@ fn load_snapshot(path: &str) -> CorpusSnapshot {
 
 /// Builds a [`RunConfig`] from the scenario-run flags shared by `fuzz`,
 /// `corpus export`, `replay` and `minimize`: `--bugs`, `--version`,
-/// `--no-sanitize`, `--san-diff`, `--san-defect`, `--diff-oracle` and
-/// `--backend` (`default_backend` when absent).
-fn run_config(args: &Args, default_backend: Backend) -> RunConfig {
+/// `--no-sanitize`, `--san-diff`, `--san-defect` and `--diff-oracle`.
+fn run_config(args: &Args) -> RunConfig {
     let san_diff = args.flag("--san-diff");
     let no_sanitize = args.flag("--no-sanitize");
     if san_diff && no_sanitize {
@@ -435,7 +395,6 @@ fn run_config(args: &Args, default_backend: Backend) -> RunConfig {
         },
         diff_oracle: args.flag("--diff-oracle"),
         prune_index: true,
-        backend: parse_backend(args, default_backend),
     }
 }
 
@@ -449,7 +408,7 @@ fn campaign_config(args: &Args) -> CampaignConfig {
         args.parsed("--iters").unwrap_or(5000),
         args.parsed("--seed").unwrap_or(1),
     );
-    let run = run_config(args, Backend::Compiled);
+    let run = run_config(args);
     cfg.bugs = run.bugs;
     cfg.version = run.version;
     cfg.sanitize = run.sanitation != Sanitation::Off;
@@ -458,7 +417,6 @@ fn campaign_config(args: &Args) -> CampaignConfig {
         cfg.san_defects = defects;
     }
     cfg.diff_oracle = run.diff_oracle;
-    cfg.backend = run.backend;
     cfg.triage = !args.flag("--no-triage");
     cfg.feedback = !args.flag("--no-feedback");
     cfg.steer = args.flag("--steer");
@@ -647,7 +605,10 @@ fn print_findings(findings: &[FindingRecord]) {
 }
 
 fn save_findings(dir: &str, seed: u64, findings: &[FindingRecord]) {
-    std::fs::create_dir_all(dir).expect("create findings dir");
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+        eprintln!("cannot create findings dir {dir}: {e}");
+        exit(1);
+    });
     // Seed-qualified names let campaigns share a directory; refuse
     // to overwrite before writing anything rather than midway.
     let paths: Vec<_> = (0..findings.len())
@@ -662,7 +623,10 @@ fn save_findings(dir: &str, seed: u64, findings: &[FindingRecord]) {
     }
     for (path, rec) in paths.iter().zip(findings) {
         let json = serde_json::to_string_pretty(&rec.finding.scenario).unwrap();
-        std::fs::write(path, json).expect("write finding");
+        std::fs::write(path, json).unwrap_or_else(|e| {
+            eprintln!("cannot write finding {}: {e}", path.display());
+            exit(1);
+        });
         println!("saved {}", path.display());
     }
 }
@@ -800,9 +764,6 @@ fn cmd_worker(args: &Args) {
             .parsed("--poll-ms")
             .map_or(defaults.poll, Duration::from_millis),
         max_batches: args.parsed("--max-batches"),
-        backend_override: args
-            .opt("--backend")
-            .map(|_| parse_backend(args, Backend::Compiled)),
         ..defaults
     };
     let stop = AtomicBool::new(false);
@@ -853,7 +814,7 @@ fn load_scenario(path: &str) -> Scenario {
 
 fn cmd_replay(args: &Args, path: &str) {
     let scenario = load_scenario(path);
-    let cfg = run_config(args, Backend::Interp);
+    let cfg = run_config(args);
 
     println!(
         "program ({:?}, trigger {:?}):\n{}",
@@ -916,7 +877,7 @@ fn cmd_replay(args: &Args, path: &str) {
 
 fn cmd_minimize(args: &Args, path: &str) {
     let scenario = load_scenario(path);
-    let cfg = run_config(args, Backend::Interp);
+    let cfg = run_config(args);
     let jobs: usize = args.parsed("--jobs").unwrap_or(1);
 
     let out = match minimize(&scenario, &cfg, jobs) {
@@ -957,13 +918,9 @@ fn cmd_sancheck(args: &Args) {
     // `--matrix` is the documented spelling; a bare `bvf sancheck` runs
     // the same defect matrix.
     let _ = args.flag("--matrix");
-    let backend = parse_backend(args, Backend::Interp);
 
-    let out = run_matrix(version, backend);
-    println!(
-        "sanitizer-defect matrix ({version:?}, {} backend):",
-        backend.name()
-    );
+    let out = run_matrix(version);
+    println!("sanitizer-defect matrix ({version:?}):");
     let mut divergences = 0u64;
     let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
     for r in &out.results {

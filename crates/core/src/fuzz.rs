@@ -38,7 +38,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefectSet};
-use bvf_runtime::{Backend, BpfError, ExecScratch};
+use bvf_runtime::{BpfError, ExecScratch};
 use bvf_telemetry::profile::elapsed_ns;
 use bvf_telemetry::stats::STATS_SCHEMA_VERSION;
 use bvf_telemetry::{CampaignStats, GenSource, Registry, Telemetry, TraceEvent};
@@ -131,11 +131,8 @@ pub struct CampaignConfig {
     /// `bvf sancheck` matrix; empty for real campaigns, where any
     /// divergence indicts the sanitizer itself).
     pub san_defects: SanDefectSet,
-    /// Which execution engine runs accepted programs
-    /// (`bvf fuzz --backend`). Compiled is the campaign default: images
-    /// are lowered once at load time, next to the pre-decode, and the
-    /// two backends produce byte-identical findings.
-    pub backend: Backend,
+    /// Ignored; the benchmark is its only user, so it goes once ROADMAP item 2 lands.
+    pub backend: bvf_runtime::Backend,
 }
 
 impl CampaignConfig {
@@ -160,7 +157,7 @@ impl CampaignConfig {
             steer: false,
             san_diff: false,
             san_defects: SanDefectSet::none(),
-            backend: Backend::Compiled,
+            backend: Default::default(),
         }
     }
 
@@ -178,7 +175,6 @@ impl CampaignConfig {
             },
             diff_oracle: self.diff_oracle,
             prune_index: self.prune_index,
-            backend: self.backend,
         }
     }
 }

@@ -210,7 +210,6 @@ mod tests {
     use bvf_kernel_sim::helpers::proto::ids as helper;
     use bvf_kernel_sim::progtype::ProgType;
     use bvf_kernel_sim::BugSet;
-    use bvf_runtime::Backend;
 
     /// The bug #1 reproducer with junk instructions interleaved; the
     /// minimizer must strip the junk and keep the signature.
@@ -255,9 +254,7 @@ mod tests {
 
     /// Round-trip on the committed Indicator #3 fixture: the parallel,
     /// cache-backed path must reproduce the serial result exactly, and
-    /// the memo cache must actually absorb repeated candidates. The
-    /// parallel run replays on the compiled backend, so this also pins
-    /// that a minimization is backend-invariant end to end.
+    /// the memo cache must actually absorb repeated candidates.
     #[test]
     fn parallel_jobs_and_cache_reproduce_serial_result() {
         let path = concat!(
@@ -270,14 +267,9 @@ mod tests {
             diff_oracle: true,
             ..RunConfig::new(BugSet::all())
         };
-        let compiled = RunConfig {
-            backend: Backend::Compiled,
-            ..cfg.clone()
-        };
 
         let serial = minimize(&scenario, &cfg, 1).expect("fixture must minimize serially");
-        let parallel =
-            minimize(&scenario, &compiled, 4).expect("fixture must minimize in parallel");
+        let parallel = minimize(&scenario, &cfg, 4).expect("fixture must minimize in parallel");
 
         assert_eq!(serial.signature, parallel.signature);
         assert_eq!(serial.units_kept, parallel.units_kept);

@@ -120,7 +120,7 @@ fn is_san_divergence(report: &KernelReport) -> bool {
 /// accepted program, or the program/attach is now rejected), the defect
 /// is a culprit.
 ///
-/// Replays run on `cfg`'s version, backend and prune index, in the mode
+/// Replays run on `cfg`'s version and prune index, in the mode
 /// the finding needs: a sanitizer-divergence finding only exists under
 /// [`Sanitation::Dual`] (with `cfg`'s armed sanitizer defects), and an
 /// Indicator #3 finding only under the differential oracle; any other

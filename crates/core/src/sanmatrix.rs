@@ -18,7 +18,6 @@
 
 use bvf_isa::Program;
 use bvf_kernel_sim::{KernelReport, SanDefect, SanDefectSet, SanDivergenceKind};
-use bvf_runtime::Backend;
 use bvf_sancheck::{matrix_cases, MatrixCase};
 use bvf_verifier::KernelVersion;
 
@@ -90,13 +89,11 @@ pub fn case_scenario(case: &MatrixCase) -> Scenario {
     }
 }
 
-/// The dual-run configuration of one matrix case with its defect armed,
-/// on `backend` unless the case pins its own.
-fn case_config(case: &MatrixCase, version: KernelVersion, backend: Backend) -> RunConfig {
+/// The dual-run configuration of one matrix case with its defect armed.
+fn case_config(case: &MatrixCase, version: KernelVersion) -> RunConfig {
     RunConfig {
         version,
         sanitation: Sanitation::Dual(SanDefectSet::only(case.defect)),
-        backend: case.backend.unwrap_or(backend),
         ..RunConfig::new(case.bugs.clone())
     }
 }
@@ -109,15 +106,9 @@ fn divergence_kind(outcome: &ScenarioOutcome) -> Option<SanDivergenceKind> {
 }
 
 /// Runs one matrix case: dual execution with the defect armed, then
-/// healed, and the verdict-flip check between them. `backend` picks the
-/// execution engine, except for cases that pin their own (compile-layer
-/// defects only exist in the compiled engine).
-pub fn run_matrix_case(
-    case: &MatrixCase,
-    version: KernelVersion,
-    backend: Backend,
-) -> MatrixCaseResult {
-    let armed = case_config(case, version, backend);
+/// healed, and the verdict-flip check between them.
+pub fn run_matrix_case(case: &MatrixCase, version: KernelVersion) -> MatrixCaseResult {
+    let armed = case_config(case, version);
     let healed = RunConfig {
         sanitation: Sanitation::Dual(SanDefectSet::none()),
         ..armed.clone()
@@ -139,13 +130,12 @@ pub fn run_matrix_case(
     }
 }
 
-/// Runs the whole committed matrix on the given backend (cases that pin
-/// their own backend ignore it).
-pub fn run_matrix(version: KernelVersion, backend: Backend) -> MatrixOutcome {
+/// Runs the whole committed matrix.
+pub fn run_matrix(version: KernelVersion) -> MatrixOutcome {
     MatrixOutcome {
         results: matrix_cases()
             .iter()
-            .map(|c| run_matrix_case(c, version, backend))
+            .map(|c| run_matrix_case(c, version))
             .collect(),
     }
 }
@@ -156,10 +146,10 @@ mod tests {
     use crate::oracle::{judge, triage_san_defects};
 
     /// The acceptance bar of the whole subsystem: every seeded sanitizer
-    /// defect class is caught by its committed reproducer, 9/9.
+    /// defect class is caught by its committed reproducer, 8/8.
     #[test]
     fn matrix_catches_every_defect_class() {
-        let out = run_matrix(KernelVersion::BpfNext, Backend::Interp);
+        let out = run_matrix(KernelVersion::BpfNext);
         assert_eq!(out.results.len(), SanDefect::ALL.len());
         for r in &out.results {
             assert!(
@@ -177,16 +167,6 @@ mod tests {
         assert_eq!(out.hits().len(), SanDefect::ALL.len());
     }
 
-    /// The same bar on the compiled engine: every defect class flips
-    /// there too, pinning that fused sanitation thunks preserve the
-    /// dual-run oracle end to end.
-    #[test]
-    fn matrix_catches_every_defect_class_compiled() {
-        let out = run_matrix(KernelVersion::BpfNext, Backend::Compiled);
-        assert_eq!(out.results.len(), SanDefect::ALL.len());
-        assert!(out.escaped().is_empty(), "escaped: {:?}", out.escaped());
-    }
-
     /// Matrix reproducers are honest dual-run programs: with no defect
     /// armed, the false-positive cases must run clean — divergences they
     /// show under the defect come from the defect, not the program.
@@ -198,7 +178,7 @@ mod tests {
             }
             let cfg = RunConfig {
                 sanitation: Sanitation::Dual(SanDefectSet::none()),
-                ..case_config(&case, KernelVersion::BpfNext, Backend::Interp)
+                ..case_config(&case, KernelVersion::BpfNext)
             };
             let out = run(&case_scenario(&case), &cfg, None);
             assert!(
@@ -215,28 +195,22 @@ mod tests {
         }
     }
 
-    /// Triage replays on the config's backend. fused-check-elision is a
-    /// defect of the compiled engine: its reproducer runs clean with the
-    /// defect armed and aborts in the sanitizer once healed, so only a
-    /// compiled replay sees the flip and names the culprit.
+    /// Triage names the armed defect a divergence depends on.
+    /// scratch-clobber's reproducer diverges with the defect armed and
+    /// runs clean once healed, so healing it flips the verdict.
     #[test]
-    fn san_defect_triage_replays_on_the_configs_backend() {
+    fn san_defect_triage_names_the_armed_culprit() {
         let case = matrix_cases()
             .into_iter()
-            .find(|c| c.defect == SanDefect::FusedCheckElision)
-            .expect("matrix ships a fused-check-elision case");
+            .find(|c| c.defect == SanDefect::ScratchClobber)
+            .expect("matrix ships a scratch-clobber case");
         let scenario = case_scenario(&case);
-        let cfg = case_config(&case, KernelVersion::BpfNext, Backend::Compiled);
-        assert_eq!(cfg.backend, Backend::Compiled);
-        let healed = RunConfig {
-            sanitation: Sanitation::Dual(SanDefectSet::none()),
-            ..cfg.clone()
-        };
+        let cfg = case_config(&case, KernelVersion::BpfNext);
         let finding =
-            judge(&scenario, &run(&scenario, &healed, None)).expect("healed run must diverge");
+            judge(&scenario, &run(&scenario, &cfg, None)).expect("armed run must diverge");
         assert_eq!(
             triage_san_defects(&finding, &cfg),
-            vec![SanDefect::FusedCheckElision]
+            vec![SanDefect::ScratchClobber]
         );
     }
 }

@@ -15,7 +15,7 @@ use bvf_kernel_sim::progtype::ProgType;
 use bvf_kernel_sim::report::SanDivergenceKind;
 use bvf_kernel_sim::tracepoint::{AttachPoint, Tracepoint};
 use bvf_kernel_sim::{BugSet, KernelReport, SanDefectSet};
-use bvf_runtime::{Backend, Bpf, BpfError, ExecScratch, ExecTrace, HaltReason};
+use bvf_runtime::{Bpf, BpfError, ExecScratch, ExecTrace, HaltReason};
 use bvf_sancheck::{RunView, SanStats};
 use bvf_telemetry::PhaseTimings;
 use bvf_verifier::{Coverage, KernelVersion, SnapshotStream, VerifierOpts};
@@ -179,19 +179,16 @@ pub struct RunConfig {
     pub sanitation: Sanitation,
     /// Whether the abstract-vs-concrete differential oracle is armed:
     /// the verifier records per-instruction abstract-state snapshots,
-    /// the backend records a concrete register trace (test-run trigger
-    /// only), and a concretization-membership violation is appended to
-    /// `reports` as [`KernelReport::StateDivergence`] (Indicator #3).
+    /// the interpreter records a concrete register trace (test-run
+    /// trigger only), and a concretization-membership violation is
+    /// appended to `reports` as [`KernelReport::StateDivergence`]
+    /// (Indicator #3).
     /// Under [`Sanitation::Dual`] it watches the sanitized run.
     pub diff_oracle: bool,
     /// Whether the verifier's fingerprint-bucketed explored-state index
     /// is on. A pure filter: verdicts and findings are identical either
     /// way; only the number of `states_equal` calls changes.
     pub prune_index: bool,
-    /// Which engine executes accepted programs. The backends produce
-    /// identical outcomes, except under seeded defects of the compiled
-    /// engine itself.
-    pub backend: Backend,
 }
 
 impl RunConfig {
@@ -204,7 +201,6 @@ impl RunConfig {
             sanitation: Sanitation::On,
             diff_oracle: false,
             prune_index: true,
-            backend: Backend::Interp,
         }
     }
 }
@@ -301,7 +297,7 @@ fn boot(
         prune_index: cfg.prune_index,
         ..Default::default()
     };
-    let mut bpf = Bpf::with_kernel(kernel, opts, sanitize).with_backend(cfg.backend);
+    let mut bpf = Bpf::with_kernel(kernel, opts, sanitize);
     for def in standard_maps() {
         bpf.map_create(def).expect("standard maps fit");
     }

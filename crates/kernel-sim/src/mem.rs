@@ -95,9 +95,9 @@ impl MemPool {
     ///
     /// Returns `None` on a page fault (unmapped or null address).
     ///
-    /// Inlined: this is the raw program load path both execution
-    /// backends sit on, hot enough that the call overhead shows up in
-    /// the execution-layer throughput benchmark.
+    /// Inlined: this is the raw program load path the interpreter sits
+    /// on, hot enough that the call overhead shows up in execution
+    /// throughput.
     #[inline]
     pub fn raw_read(&self, addr: u64, size: u64) -> Option<u64> {
         match self.translate(addr, size) {

@@ -260,9 +260,9 @@ impl ReportSink {
         !self.reports.is_empty()
     }
 
-    /// Whether any fatal report has been recorded. Inlined: both
-    /// execution backends poll this after every fall-through step, and
-    /// on the clean path it is a length check of an empty `Vec`.
+    /// Whether any fatal report has been recorded. Inlined: the
+    /// interpreter polls this after every fall-through step, and on the
+    /// clean path it is a length check of an empty `Vec`.
     #[inline]
     pub fn any_fatal(&self) -> bool {
         self.reports.iter().any(KernelReport::is_fatal)

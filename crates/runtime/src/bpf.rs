@@ -17,9 +17,9 @@ use bvf_telemetry::PhaseTimings;
 use bvf_verifier::{
     verify, InsnMeta, RejectReason, VerifiedProgram, VerifierError, VerifierOpts, VerifierPhase,
 };
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-use crate::compile::Backend;
 use crate::interp::{
     exec_program, exec_program_traced, fire_tracepoint, AttachTable, ExecImage, ExecResult,
     ExecTrace, ProgRegistry, TriggerCtx,
@@ -105,6 +105,16 @@ pub struct RunReport {
     pub reports: Vec<KernelReport>,
 }
 
+/// Inert; the benchmark is its only user, so it goes once ROADMAP item 2 lands.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Backend {
+    /// The interpreter, the only execution engine.
+    #[default]
+    Interp,
+    /// Runs on the interpreter too.
+    Compiled,
+}
+
 /// The BPF subsystem façade: one simulated kernel plus its loaded
 /// programs.
 pub struct Bpf {
@@ -121,11 +131,6 @@ pub struct Bpf {
     /// Whether BVF's sanitation instrumentation is enabled (the Kconfig
     /// toggle from the paper's patches).
     pub sanitize: bool,
-    /// Which execution engine loaded programs run on. With
-    /// [`Backend::Compiled`], every image's straight-line runs are
-    /// lowered once at load time (amortized next to the pre-decode) and
-    /// executed fused.
-    backend: Backend,
 }
 
 impl Bpf {
@@ -144,20 +149,12 @@ impl Bpf {
             attach_table: HashMap::new(),
             opts,
             sanitize,
-            backend: Backend::Interp,
         }
     }
 
-    /// Selects the execution backend for programs loaded *after* this
-    /// call (builder style; set it before any `prog_load`).
-    pub fn with_backend(mut self, backend: Backend) -> Bpf {
-        self.backend = backend;
+    /// Returns `self`; the benchmark is its only caller, so it goes once ROADMAP item 2 lands.
+    pub fn with_backend(self, _backend: Backend) -> Bpf {
         self
-    }
-
-    /// The execution backend this instance loads programs for.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Tears the instance down, surrendering the kernel's memory manager
@@ -268,8 +265,7 @@ impl Bpf {
     }
 
     /// The post-verification half of a load: the optional sanitation
-    /// rewrite (billed to `timings.sanitize_ns`), the execution image,
-    /// and its lowering on the compiled backend.
+    /// rewrite (billed to `timings.sanitize_ns`) and the execution image.
     ///
     /// Verification reads the kernel but never changes it, so a program
     /// verified against one boot installs unchanged into another boot of
@@ -289,10 +285,7 @@ impl Bpf {
         } else {
             (vprog.prog.clone(), vprog.insn_meta.clone(), None)
         };
-        let mut image = ExecImage::new(image_prog, image_meta, vprog.prog_type);
-        if self.backend == Backend::Compiled {
-            image.compile();
-        }
+        let image = ExecImage::new(image_prog, image_meta, vprog.prog_type);
         let id = self.progs.len() as u32;
         self.progs.push(LoadedProg {
             id,
@@ -582,9 +575,8 @@ mod tests {
         b.image(id).unwrap().prog() != &b.progs[id as usize].xlated.prog
     }
 
-    fn boot(sanitize: bool, backend: Backend) -> Bpf {
-        let mut b =
-            Bpf::new(BugSet::none(), VerifierOpts::default(), sanitize).with_backend(backend);
+    fn boot(sanitize: bool) -> Bpf {
+        let mut b = Bpf::new(BugSet::none(), VerifierOpts::default(), sanitize);
         b.map_create(MapDef {
             map_type: MapType::Array,
             key_size: 4,
@@ -599,32 +591,30 @@ mod tests {
     fn load_is_verify_then_install() {
         let prog = map_reader();
         for sanitize in [false, true] {
-            for backend in [Backend::Interp, Backend::Compiled] {
-                let mut loaded = boot(sanitize, backend);
-                let (load, _, _) = loaded.prog_load_with_cov(&prog, ProgType::SocketFilter);
-                let a = load.expect("program verifies");
+            let mut loaded = boot(sanitize);
+            let (load, _, _) = loaded.prog_load_with_cov(&prog, ProgType::SocketFilter);
+            let a = load.expect("program verifies");
 
-                let mut split = boot(sanitize, backend);
-                let vprog = verify(&split.kernel, &prog, ProgType::SocketFilter, &split.opts)
-                    .result
-                    .expect("program verifies");
-                let b = split
-                    .prog_install(vprog, &mut PhaseTimings::default())
-                    .expect("program installs");
+            let mut split = boot(sanitize);
+            let vprog = verify(&split.kernel, &prog, ProgType::SocketFilter, &split.opts)
+                .result
+                .expect("program verifies");
+            let b = split
+                .prog_install(vprog, &mut PhaseTimings::default())
+                .expect("program installs");
 
-                let (pa, pb) = (&loaded.progs[a as usize], &split.progs[b as usize]);
-                assert_eq!(format!("{:?}", pa.xlated), format!("{:?}", pb.xlated));
-                assert_eq!(pa.sanitize_stats, pb.sanitize_stats);
-                assert_eq!(pa.sanitize_stats.is_some(), sanitize);
-                assert_eq!(image_rewritten(&loaded, a), sanitize);
-                let (ia, ib) = (loaded.image(a).unwrap(), split.image(b).unwrap());
-                assert_eq!(ia.prog(), ib.prog());
-                assert_eq!(format!("{:?}", ia.meta()), format!("{:?}", ib.meta()));
-                assert_eq!(
-                    loaded.test_run(a).unwrap().exec.exec_hash,
-                    split.test_run(b).unwrap().exec.exec_hash
-                );
-            }
+            let (pa, pb) = (&loaded.progs[a as usize], &split.progs[b as usize]);
+            assert_eq!(format!("{:?}", pa.xlated), format!("{:?}", pb.xlated));
+            assert_eq!(pa.sanitize_stats, pb.sanitize_stats);
+            assert_eq!(pa.sanitize_stats.is_some(), sanitize);
+            assert_eq!(image_rewritten(&loaded, a), sanitize);
+            let (ia, ib) = (loaded.image(a).unwrap(), split.image(b).unwrap());
+            assert_eq!(ia.prog(), ib.prog());
+            assert_eq!(format!("{:?}", ia.meta()), format!("{:?}", ib.meta()));
+            assert_eq!(
+                loaded.test_run(a).unwrap().exec.exec_hash,
+                split.test_run(b).unwrap().exec.exec_hash
+            );
         }
     }
 }

@@ -10,7 +10,6 @@
 //! dispatch to the `bpf_asan_*` functions.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use bvf_isa::decode::SourceOperandValue;
 use bvf_isa::{AluOp, AtomicOp, CallTarget, Endianness, InsnKind, JmpOp, Program, Reg, Size};
@@ -25,7 +24,6 @@ use bvf_kernel_sim::Kernel;
 use bvf_verifier::sanitize::{EXT_SLOT_R0, EXT_STACK_BYTES};
 use bvf_verifier::InsnMeta;
 
-use crate::compile::CompiledProg;
 use bvf_isa::reg::STACK_SIZE;
 
 /// Per-execution step budget (runaway guard, not a semantic limit).
@@ -42,26 +40,21 @@ pub const MAX_TP_DEPTH: u32 = 4;
 ///
 /// Built through [`ExecImage::new`], which pre-decodes the instruction
 /// stream once. The instruction stream and metadata are private — a
-/// mutation after build would desynchronize the decode cache (and any
-/// compiled form), so loaded images are immutable; read access goes
-/// through [`ExecImage::prog`] / [`ExecImage::meta`].
+/// mutation after build would desynchronize the decode cache, so loaded
+/// images are immutable; read access goes through [`ExecImage::prog`] /
+/// [`ExecImage::meta`].
 #[derive(Debug, Clone)]
 pub struct ExecImage {
     /// The (possibly sanitized) instruction stream.
-    pub(crate) prog: Program,
+    prog: Program,
     /// Per-slot metadata (exception-table entries, rewrite marks).
-    pub(crate) meta: Vec<InsnMeta>,
+    meta: Vec<InsnMeta>,
     /// Program type.
     pub prog_type: ProgType,
     /// Per-slot decode cache: entry `pc` holds exactly what
     /// `prog.decode_at(pc)` would return there (`None` for undecodable
     /// positions), so the hot loop never re-decodes a replayed program.
     decoded: Vec<Option<(InsnKind, usize)>>,
-    /// The fused straight-line runs, present when the owning
-    /// [`crate::Bpf`] loads with [`crate::Backend::Compiled`]. Shared
-    /// behind an `Arc` so cloning an image (or a registry) never
-    /// recompiles.
-    pub(crate) compiled: Option<Arc<CompiledProg>>,
 }
 
 impl ExecImage {
@@ -84,7 +77,6 @@ impl ExecImage {
             meta,
             prog_type,
             decoded,
-            compiled: None,
         }
     }
 
@@ -100,21 +92,13 @@ impl ExecImage {
         &self.meta
     }
 
-    /// Lowers the image's straight-line runs into fused form (see
-    /// [`crate::compile`]). Idempotent; the result is cached on the image.
-    pub fn compile(&mut self) {
-        if self.compiled.is_none() {
-            self.compiled = Some(Arc::new(crate::compile::compile_image(self)));
-        }
-    }
-
     /// The pre-decoded instruction starting at `pc` and its slot count.
     ///
     /// `pc` must be in-bounds: the executor validates every program
     /// counter before fetching (empty images never reach the fetch), so
     /// this is a single indexed read on the hot path.
     #[inline]
-    pub(crate) fn decoded_at(&self, pc: usize) -> Option<(InsnKind, usize)> {
+    fn decoded_at(&self, pc: usize) -> Option<(InsnKind, usize)> {
         self.decoded[pc]
     }
 }
@@ -261,10 +245,6 @@ pub fn exec_program(
 /// is `Some`, every main-frame step of the triggered program records
 /// `(pc, R0..R10)` before the instruction executes. Tracing stops at a
 /// tail-call image switch (the successor was verified separately).
-///
-/// This is the one execution loop of both backends: on an image with a
-/// compiled form, a fetch landing in a fused straight-line run executes
-/// the rest of the run at once (see [`crate::compile`]).
 #[allow(clippy::too_many_arguments)]
 pub fn exec_program_traced(
     kernel: &mut Kernel,
@@ -364,32 +344,6 @@ pub fn exec_program_traced(
     let mut r0_out = None;
 
     'run: loop {
-        // Fused-run fast path (compiled images only): a fetch landing on
-        // a run member executes the rest of the run at once. Taken only
-        // when the run is untraced, fits under the step limit whole, and
-        // no fatal report is already pending (a nested tracepoint
-        // execution can begin with one, and the per-step path must then
-        // halt after exactly one more op); otherwise the members run one
-        // by one below.
-        if let (Some(compiled), None) = (image.compiled.as_deref(), trace.as_deref()) {
-            if let Some(run) = compiled.entry(pc) {
-                if steps + run.steps() <= STEP_LIMIT && !kernel.reports.any_fatal() {
-                    let (ran, emitted, stop) = compiled.exec_run(run, kernel, &mut regs);
-                    steps += ran;
-                    instrumented_steps += emitted;
-                    if let Some(h) = stop {
-                        halt = h;
-                        break 'run;
-                    }
-                    pc = run.end;
-                    if pc >= image.prog.insn_count() {
-                        halt = HaltReason::BadInstruction;
-                        break 'run;
-                    }
-                    continue;
-                }
-            }
-        }
         steps += 1;
         if steps > STEP_LIMIT {
             halt = HaltReason::StepLimit;
@@ -580,9 +534,7 @@ pub fn exec_program_traced(
             InsnKind::Call { target } => match target {
                 CallTarget::Helper(id) if asan_ids::is_asan(id as u32) => {
                     let orig_pc = image.prog.insns()[pc].off as usize;
-                    let compiled = image.compiled.is_some();
-                    let ex = meta.ex_handled;
-                    if asan_call(kernel, &mut regs, id as u32, orig_pc, ex, compiled) {
+                    if asan_call(kernel, &mut regs, id as u32, orig_pc, meta.ex_handled) {
                         halt = HaltReason::SanitizerTrap;
                         break 'run;
                     }
@@ -702,20 +654,12 @@ pub fn exec_program_traced(
     }
 }
 
-/// The `bpf_asan_*` dispatch, shared by the per-step path and the fused
-/// sanitation thunk: runs the check function `id` names on the argument
-/// registers and, unless it traps, returns with `R0 = 0`. `orig_pc` is
-/// the original instruction an ALU-limit check reports, `ex` the
-/// access's exception-table entry, and `compiled` whether the image
-/// runs on the compiled backend. Returns whether the check trapped.
-pub(crate) fn asan_call(
-    kernel: &mut Kernel,
-    regs: &mut [u64; 12],
-    id: u32,
-    orig_pc: usize,
-    ex: bool,
-    compiled: bool,
-) -> bool {
+/// The `bpf_asan_*` dispatch: runs the check function `id` names on the
+/// argument registers and, unless it traps, returns with `R0 = 0`.
+/// `orig_pc` is the original instruction an ALU-limit check reports and
+/// `ex` the access's exception-table entry. Returns whether the check
+/// trapped.
+fn asan_call(kernel: &mut Kernel, regs: &mut [u64; 12], id: u32, orig_pc: usize, ex: bool) -> bool {
     let defects = &kernel.mm.san_defects;
     let trapped = match id {
         asan_ids::ALU_CHECK_UP | asan_ids::ALU_CHECK_DOWN => !asan::asan_alu_check(
@@ -725,13 +669,6 @@ pub(crate) fn asan_call(
             id == asan_ids::ALU_CHECK_DOWN,
             orig_pc,
         ),
-        // Injected compile-layer defect: the memory check of a compiled
-        // image elides the dispatch entirely — no check, no clobber,
-        // just the R0 effect.
-        _ if compiled && defects.has(SanDefect::FusedCheckElision) => {
-            regs[Reg::R0.index()] = 0;
-            return false;
-        }
         _ => {
             let is_store = id >= asan_ids::STORE_BASE;
             let base = if is_store {
@@ -843,7 +780,7 @@ fn truncate(v: u64, size: Size) -> u64 {
     }
 }
 
-pub(crate) fn sext(v: u64, size: Size) -> u64 {
+fn sext(v: u64, size: Size) -> u64 {
     match size {
         Size::B => v as u8 as i8 as i64 as u64,
         Size::H => v as u16 as i16 as i64 as u64,
@@ -852,7 +789,7 @@ pub(crate) fn sext(v: u64, size: Size) -> u64 {
     }
 }
 
-pub(crate) fn alu(op: AluOp, is64: bool, dst: u64, src: u64) -> u64 {
+fn alu(op: AluOp, is64: bool, dst: u64, src: u64) -> u64 {
     if is64 {
         match op {
             AluOp::Add => dst.wrapping_add(src),
@@ -890,7 +827,7 @@ pub(crate) fn alu(op: AluOp, is64: bool, dst: u64, src: u64) -> u64 {
     }
 }
 
-pub(crate) fn endian(e: Endianness, bits: i32, v: u64) -> u64 {
+fn endian(e: Endianness, bits: i32, v: u64) -> u64 {
     // Little-endian host: `to_le` is the identity, `to_be` swaps; the
     // unconditional swap always swaps.
     let swap = |v: u64| match bits {

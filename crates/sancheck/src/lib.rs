@@ -45,7 +45,7 @@ use bvf_kernel_sim::progtype::ProgType;
 use bvf_kernel_sim::report::SanDivergenceKind;
 use bvf_kernel_sim::sandefect::SanDefect;
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, ReportOrigin};
-use bvf_runtime::{Backend, HaltReason};
+use bvf_runtime::HaltReason;
 use serde::{Deserialize, Serialize};
 
 /// One execution's comparator-relevant observations, borrowed from
@@ -327,11 +327,6 @@ pub struct MatrixCase {
     pub divergence_with_defect: bool,
     /// The divergence kind expected in whichever arm diverges.
     pub expect_kind: SanDivergenceKind,
-    /// Execution backend the reproducer requires, or `None` to run on
-    /// whatever backend the matrix runner was asked to use. Compile-layer
-    /// defects (e.g. [`SanDefect::FusedCheckElision`]) only exist in the
-    /// compiled engine and pin `Some(Backend::Compiled)`.
-    pub backend: Option<Backend>,
 }
 
 /// Stack-key prologue: `r2 = r10 - 8` with the key value stored.
@@ -381,7 +376,6 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
         map_seed: vec![seed_hash_entry()],
         divergence_with_defect: true,
         expect_kind: SanDivergenceKind::SanAbort,
-        backend: None,
     });
 
     // write-polarity: CVE-2022-23222 store through null+8 — both runs
@@ -405,7 +399,6 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
         map_seed: Vec::new(),
         divergence_with_defect: true,
         expect_kind: SanDivergenceKind::FaultMetaMismatch,
-        backend: None,
     });
 
     // ex-handled-swallow: a use-after-free *store* the correct sanitizer
@@ -433,7 +426,6 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
         map_seed: vec![seed_hash_entry()],
         divergence_with_defect: false,
         expect_kind: SanDivergenceKind::SanAbort,
-        backend: None,
     });
 
     // alu-bound-flip: pointer arithmetic landing exactly on the
@@ -455,7 +447,6 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
         map_seed: vec![seed_array_word(16)],
         divergence_with_defect: true,
         expect_kind: SanDivergenceKind::SanAbort,
-        backend: None,
     });
 
     // stale-shadow-free: lookup → delete → use. The correct sanitizer
@@ -482,7 +473,6 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
         map_seed: vec![seed_hash_entry()],
         divergence_with_defect: false,
         expect_kind: SanDivergenceKind::SanAbort,
-        backend: None,
     });
 
     // load-size-confusion: bug #2's straddling read (8 bytes at task
@@ -502,7 +492,6 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
         map_seed: Vec::new(),
         divergence_with_defect: false,
         expect_kind: SanDivergenceKind::SanAbort,
-        backend: None,
     });
 
     // alu-direction-flip: downward pointer movement (runtime -8 against
@@ -525,7 +514,6 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
         map_seed: vec![seed_array_word(8)],
         divergence_with_defect: true,
         expect_kind: SanDivergenceKind::SanAbort,
-        backend: None,
     });
 
     // scratch-clobber: r0 = 42 is live across an instrumented load; the
@@ -547,38 +535,6 @@ pub fn matrix_cases() -> Vec<MatrixCase> {
         map_seed: vec![seed_array_word(0)],
         divergence_with_defect: true,
         expect_kind: SanDivergenceKind::ExecMismatch,
-        backend: None,
-    });
-
-    // fused-check-elision: the same lookup → delete → use UAF, pinned to
-    // the compiled backend. The correct memory check dispatches to
-    // `asan_mem_check` and traps the read; the defective one returns
-    // without dispatching, the access sails through exactly like the
-    // unsanitized run, and the divergence disappears. Interp images are
-    // deliberately unaffected, so only a compiled-backend matrix run can
-    // catch this class.
-    let mut insns = vec![asm::mov64_imm(Reg::R0, 0)];
-    lookup(&mut insns, 1, Size::Dw, 5);
-    insns.push(asm::jmp_imm(JmpOp::Jeq, Reg::R0, 0, 8));
-    insns.push(asm::mov64_reg(Reg::R6, Reg::R0));
-    insns.extend(asm::ld_map_fd(Reg::R1, 1));
-    insns.push(asm::mov64_reg(Reg::R2, Reg::R10));
-    insns.push(asm::alu64_imm(AluOp::Add, Reg::R2, -8));
-    insns.push(asm::call_helper(helper::MAP_DELETE_ELEM as i32));
-    insns.push(asm::ldx_mem(Size::Dw, Reg::R3, Reg::R6, 0));
-    insns.push(asm::mov64_imm(Reg::R0, 0));
-    insns.push(asm::exit());
-    insns.push(asm::mov64_imm(Reg::R0, 0));
-    insns.push(asm::exit());
-    cases.push(MatrixCase {
-        defect: SanDefect::FusedCheckElision,
-        bugs: BugSet::none(),
-        prog_type: ProgType::SocketFilter,
-        insns,
-        map_seed: vec![seed_hash_entry()],
-        divergence_with_defect: false,
-        expect_kind: SanDivergenceKind::SanAbort,
-        backend: Some(Backend::Compiled),
     });
 
     cases
