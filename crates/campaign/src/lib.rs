@@ -22,17 +22,15 @@
 //!
 //! - [`orchestrator`]: the work-stealing driver — per-worker lease
 //!   queues dealt round-robin, tail-stealing when a local queue drains,
-//!   scoped worker threads, and the final merge (see its module docs
-//!   for the liveness argument);
+//!   scoped worker threads, and the final merge, which is where the
+//!   campaign's findings are triaged, once each, after the workers join
+//!   (see its module docs for the liveness argument);
 //! - [`exchange`]: the asynchronous corpus-exchange hub — a
 //!   sequence-numbered delta ledger behind a mutex + condvar, replacing
 //!   the old barrier epochs so slow workers never stall fast ones;
 //! - [`join`]: worker-identified join-error propagation — a panicking
 //!   worker is reported by index with its panic message, after every
 //!   sibling has been joined;
-//! - [`shard`]: the cross-worker concurrent finding-signature set
-//!   (sharded mutexes) that lets exactly one worker pay for eager
-//!   differential triage per signature;
 //! - [`progress`]: the single shared stderr writer that keeps
 //!   `--stats-every` output un-torn under N writers;
 //! - [`merge`]: the observational merges that remain crate-local —
@@ -46,11 +44,9 @@ pub mod join;
 pub mod merge;
 pub mod orchestrator;
 pub mod progress;
-pub mod shard;
 
 pub use exchange::{ExchangeHub, SubscribeStats};
 pub use join::{join_all, WorkerPanic};
 pub use merge::{interleave_traces, merge_registries};
 pub use orchestrator::{run_sharded, ParallelConfig, ParallelOutcome, WorkerSummary};
 pub use progress::SharedProgress;
-pub use shard::ShardedSignatureSet;

@@ -10,7 +10,8 @@
 //! view is a pure function of ledger contents ([`crate::exchange`]),
 //! *which* worker runs a batch — and in what steal order — never shows
 //! in the merged result: [`bvf::fuzz::merge_batches`] folds outputs in
-//! batch order.
+//! batch order and triages the surviving findings after the workers
+//! join.
 //!
 //! Liveness under stealing: let `m` be the smallest unpublished batch.
 //! Every batch `m` consumes has a smaller id, so `m` is always ready.
@@ -30,12 +31,11 @@ use bvf::corpus::CorpusSnapshot;
 use bvf::fuzz::{batch_count, merge_batches, BatchOutput, CampaignConfig, CampaignWorker};
 use bvf_runtime::ExecScratch;
 use bvf_telemetry::profile::elapsed_ns;
-use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceSink};
+use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceEvent, TraceSink};
 
 use crate::exchange::ExchangeHub;
 use crate::merge::{interleave_traces, merge_registries};
 use crate::progress::SharedProgress;
-use crate::shard::ShardedSignatureSet;
 
 /// Parallelism knobs for one work-stealing campaign. The corpus
 /// exchange cadence lives in [`CampaignConfig`] (`batch_len`,
@@ -106,8 +106,10 @@ pub struct ParallelOutcome {
     /// Merged metrics across all workers (folded in worker-id order),
     /// with campaign-level gauges (`coverage_points`, `corpus_len`,
     /// `campaign.workers`, `campaign.batches`) reflecting the merged
-    /// truth, plus the scheduler counters `campaign.steal_count`,
-    /// `campaign.lease_wait_ns`, and `campaign.exchange_backlog`.
+    /// truth, the scheduler counters `campaign.steal_count`,
+    /// `campaign.lease_wait_ns`, and `campaign.exchange_backlog`, and
+    /// what the merge records (`merge.cross_batch_dupes`,
+    /// `oracle.triage_ns`).
     pub registry: Registry,
     /// Worker-tagged trace, interleaved by `(iter, worker)`; `Some`
     /// only when [`ParallelConfig::trace`] was set.
@@ -121,7 +123,7 @@ pub struct ParallelOutcome {
     pub wall_ns: u64,
 }
 
-/// A `Write` handle into a shared buffer; lets the worker's boxed trace
+/// A `Write` handle into a shared buffer; lets a worker's boxed trace
 /// sink write into memory the orchestrator can read back after the
 /// worker finishes.
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -140,12 +142,29 @@ impl Write for SharedBuf {
     }
 }
 
+/// Routes the merge's trace events into the trace of the worker that
+/// ran each event's batch, tagged like that worker's own events, so the
+/// merged trace stays worker-attributed.
+struct BatchOwnerSink {
+    batch_len: usize,
+    /// Worker id per batch id.
+    owner: Vec<usize>,
+    /// One sink per worker, indexed by worker id.
+    sinks: Vec<JsonlSink<SharedBuf>>,
+}
+
+impl TraceSink for BatchOwnerSink {
+    fn emit(&mut self, event: &TraceEvent) {
+        let worker = self.owner[event.iter() / self.batch_len];
+        self.sinks[worker].emit(event);
+    }
+}
+
 struct WorkerRun {
     worker: usize,
     stolen: usize,
     outputs: Vec<BatchOutput>,
     registry: Registry,
-    trace: Option<Vec<u8>>,
     wall_ns: u64,
 }
 
@@ -182,7 +201,15 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
     let trace_epoch = Instant::now();
     let batches = batch_count(cfg);
 
-    let dedup = ShardedSignatureSet::new((workers * 4).next_power_of_two());
+    // One trace buffer per worker; the merge appends its events to them.
+    let bufs: Vec<Arc<Mutex<Vec<u8>>>> = (0..workers).map(|_| Arc::default()).collect();
+    let sink_for = |w: usize| {
+        pcfg.trace.then(|| {
+            JsonlSink::new(SharedBuf(Arc::clone(&bufs[w])))
+                .with_worker(w as u64)
+                .with_epoch(trace_epoch)
+        })
+    };
     let hub = ExchangeHub::new(cfg);
     let progress = (pcfg.stats_every > 0)
         .then(|| SharedProgress::new(cfg.iterations, pcfg.stats_every, workers));
@@ -194,17 +221,15 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
         .collect();
 
     let mut runs: Vec<WorkerRun> = std::thread::scope(|s| {
-        let dedup = &dedup;
         let hub = &hub;
         let queues = &queues;
         let progress = progress.as_ref();
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let cfg = cfg.clone();
-                let pcfg = pcfg.clone();
-                s.spawn(move || {
-                    run_worker(cfg, w, &pcfg, queues, hub, dedup, progress, trace_epoch)
-                })
+                let chaos = pcfg.chaos;
+                let sink = sink_for(w);
+                s.spawn(move || run_worker(cfg, w, chaos, queues, hub, progress, sink))
             })
             .collect();
         crate::join::join_all(handles)
@@ -231,34 +256,46 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
 
     let mut registries = Vec::with_capacity(runs.len());
     let mut outputs = Vec::with_capacity(batches);
-    let mut traces = Vec::new();
+    let mut owner = vec![0; batches];
     for r in runs {
         registries.push(r.registry);
-        if let Some(t) = r.trace {
-            traces.push((r.worker, t));
+        for o in &r.outputs {
+            owner[o.batch] = r.worker;
         }
         outputs.extend(r.outputs);
     }
 
-    let snapshot = pcfg
-        .snapshot
-        .then(|| CorpusSnapshot::from_outputs(cfg, &outputs));
-    let (result, merge_stats) = merge_batches(cfg, outputs);
-
-    let mut registry = merge_registries(registries);
+    let sink: Box<dyn TraceSink> = if pcfg.trace {
+        Box::new(BatchOwnerSink {
+            batch_len: cfg.batch_len.max(1),
+            owner,
+            sinks: (0..workers).filter_map(sink_for).collect(),
+        })
+    } else {
+        Box::new(NullSink)
+    };
+    let mut tel = Telemetry::new(sink);
+    tel.registry = merge_registries(registries);
+    let result = merge_batches(cfg, &outputs, &mut tel);
+    let mut registry = tel.registry;
     // Per-worker gauges summed; overwrite the non-additive ones with the
     // merged truth.
     registry.set_gauge("corpus_len", result.corpus_len as i64);
     registry.set_gauge("coverage_points", result.coverage.len() as i64);
     registry.set_gauge("campaign.workers", workers as i64);
     registry.set_gauge("campaign.batches", batches as i64);
-    registry.add(
-        "merge.cross_batch_dupes",
-        merge_stats.cross_batch_dupes as u64,
-    );
-    registry.add("merge.triaged", merge_stats.merge_triaged as u64);
 
-    let trace = pcfg.trace.then(|| interleave_traces(traces));
+    let snapshot = pcfg
+        .snapshot
+        .then(|| CorpusSnapshot::from_outputs(cfg, &outputs, &result.findings));
+    let trace = pcfg.trace.then(|| {
+        interleave_traces(
+            bufs.iter()
+                .map(|b| std::mem::take(&mut *b.lock().expect("trace buffer poisoned")))
+                .enumerate()
+                .collect(),
+        )
+    });
 
     ParallelOutcome {
         result,
@@ -278,25 +315,18 @@ fn chaos_jitter_us(chaos: u64, batch: usize, worker: usize) -> u64 {
     h.finish() % 800
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_worker(
     cfg: CampaignConfig,
     w: usize,
-    pcfg: &ParallelConfig,
+    chaos: u64,
     queues: &[Mutex<VecDeque<usize>>],
     hub: &ExchangeHub,
-    dedup: &ShardedSignatureSet,
     progress: Option<&SharedProgress>,
-    trace_epoch: Instant,
+    trace: Option<JsonlSink<SharedBuf>>,
 ) -> WorkerRun {
     let t0 = Instant::now();
-    let buf = pcfg.trace.then(|| Arc::new(Mutex::new(Vec::new())));
-    let sink: Box<dyn TraceSink> = match &buf {
-        Some(b) => Box::new(
-            JsonlSink::new(SharedBuf(Arc::clone(b)))
-                .with_worker(w as u64)
-                .with_epoch(trace_epoch),
-        ),
+    let sink: Box<dyn TraceSink> = match trace {
+        Some(sink) => Box::new(sink),
         None => Box::new(NullSink),
     };
     let mut tel = Telemetry::new(sink);
@@ -309,9 +339,9 @@ fn run_worker(
             stolen += 1;
             tel.registry.inc("campaign.steal_count");
         }
-        if pcfg.chaos != 0 {
+        if chaos != 0 {
             std::thread::sleep(std::time::Duration::from_micros(chaos_jitter_us(
-                pcfg.chaos, batch, w,
+                chaos, batch, w,
             )));
         }
         let (seed, stats) = hub.seed_for(batch);
@@ -324,7 +354,7 @@ fn run_worker(
         // start at the seed view, so only batch-local growth is folded.
         let (mut p_acc, mut p_find) = (0usize, 0usize);
         let (mut p_corp, mut p_cov) = (worker.corpus_size(), worker.coverage_points());
-        while worker.step(&mut tel, dedup, &mut scratch) {
+        while worker.step(&mut tel, &mut scratch) {
             if let Some(p) = progress {
                 let (acc, find, corp, cov) = (
                     worker.accepted(),
@@ -342,15 +372,11 @@ fn run_worker(
     }
 
     tel.finish();
-    let registry = std::mem::take(&mut tel.registry);
-    drop(tel); // releases the sink's buffer handle
-    let trace = buf.map(|b| std::mem::take(&mut *b.lock().expect("trace buffer poisoned")));
     WorkerRun {
         worker: w,
         stolen,
         outputs,
-        registry,
-        trace,
+        registry: std::mem::take(&mut tel.registry),
         wall_ns: elapsed_ns(t0),
     }
 }

@@ -178,3 +178,50 @@ fn unwritable_findings_dir_exits_1() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn unwritable_outputs_fail_before_the_first_iteration() {
+    // Each of these once ran every iteration and only then exited 1.
+    let cases: [(&[&str], &str); 5] = [
+        (&["--json-out", "/dev/null/x"], "cannot create stats file"),
+        (
+            &["--corpus-out", "/dev/null/x"],
+            "cannot create corpus snapshot",
+        ),
+        (&["--trace-out", "/dev/null/x"], "cannot create trace file"),
+        (
+            &["--workers", "2", "--trace-out", "/dev/null/x"],
+            "cannot create trace file",
+        ),
+        (
+            &["--save-findings", "/dev/null/x"],
+            "cannot create findings dir",
+        ),
+    ];
+    for (flags, needle) in cases {
+        let mut args = vec!["fuzz", "--iters", "10", "--stats-every", "1"];
+        args.extend(flags);
+        let out = bvf(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{needle} /dev/null/x")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed results");
+        assert!(!stderr.contains(" iter "), "{args:?} ran: {stderr}");
+    }
+}
+
+#[test]
+fn serve_names_an_unusable_state_dir() {
+    // The address was fine; the state dir was not.
+    let out = bvf(&["serve", "--listen", "127.0.0.1:0", "--state", "/dev/null/x"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot create state dir /dev/null/x"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("cannot bind"), "{stderr}");
+}

@@ -1,6 +1,7 @@
 //! Corpus snapshot interchange: the on-disk format round-trips against
-//! a committed fixture (so the format cannot drift silently), and a
-//! merged two-snapshot campaign reproduces the union of the source
+//! a committed fixture (so the format cannot drift silently), a
+//! triaged campaign exports the same snapshot at any worker count, and
+//! a merged two-snapshot campaign reproduces the union of the source
 //! campaigns' findings — the cross-host merging workflow of
 //! `bvf corpus export` / `import`.
 
@@ -8,7 +9,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use bvf::baseline::GeneratorKind;
-use bvf::corpus::{CorpusSnapshot, CORPUS_FORMAT, CORPUS_FORMAT_VERSION};
+use bvf::corpus::{CorpusSnapshot, SnapshotFinding, CORPUS_FORMAT, CORPUS_FORMAT_VERSION};
 use bvf::fuzz::CampaignConfig;
 use bvf_campaign::{run_sharded, ParallelConfig};
 
@@ -28,8 +29,13 @@ fn fixture_config() -> CampaignConfig {
 }
 
 fn export(cfg: &CampaignConfig, workers: usize) -> CorpusSnapshot {
+    export_with_chaos(cfg, workers, 0)
+}
+
+fn export_with_chaos(cfg: &CampaignConfig, workers: usize, chaos: u64) -> CorpusSnapshot {
     let mut pcfg = ParallelConfig::new(workers);
     pcfg.snapshot = true;
+    pcfg.chaos = chaos;
     run_sharded(cfg, &pcfg)
         .snapshot
         .expect("snapshot requested")
@@ -62,6 +68,42 @@ fn fixture_matches_a_fresh_export_of_its_config() {
         committed, fresh,
         "fixture drifted from the campaign that exported it"
     );
+}
+
+#[test]
+fn triaged_snapshots_are_worker_count_invariant() {
+    // Culprits belong to the finding record the merge keeps, so which
+    // worker ran which batch, and when, cannot show in the file.
+    let cfg = CampaignConfig::new(GeneratorKind::Bvf, 500, 7);
+    assert!(cfg.triage);
+    let mut pcfg = ParallelConfig::new(1);
+    pcfg.snapshot = true;
+    let one = run_sharded(&cfg, &pcfg);
+    let snap = one.snapshot.expect("snapshot requested");
+    for workers in [2usize, 4] {
+        for chaos in 1..=4u64 {
+            assert!(
+                snap == export_with_chaos(&cfg, workers, chaos),
+                "snapshot differs at {workers} workers, chaos {chaos}"
+            );
+        }
+    }
+
+    let records: Vec<&SnapshotFinding> = snap.batches.iter().flat_map(|b| &b.findings).collect();
+    assert!(
+        records.len() > one.result.findings.len(),
+        "some signature must recur across batches"
+    );
+    for f in &one.result.findings {
+        let carrying: Vec<&&SnapshotFinding> = records
+            .iter()
+            .filter(|r| r.signature == f.signature && !r.culprits.is_empty())
+            .collect();
+        assert_eq!(carrying.len(), 1, "{}: {carrying:?}", f.signature);
+        assert_eq!(carrying[0].iteration, f.iteration, "{}", f.signature);
+        let names: Vec<String> = f.culprits.iter().map(|b| b.name().to_string()).collect();
+        assert_eq!(carrying[0].culprits, names, "{}", f.signature);
+    }
 }
 
 #[test]

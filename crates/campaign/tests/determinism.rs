@@ -10,11 +10,17 @@
 //! bit for bit — and a chaos-jittered run (deterministic per-batch
 //! sleeps that reshuffle stealing) must reproduce an un-jittered one.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::OnceLock;
 
 use bvf::baseline::GeneratorKind;
-use bvf::fuzz::{batch_count, run_campaign, CampaignConfig, CampaignResult};
+use bvf::fuzz::{
+    batch_count, run_campaign, run_campaign_with_telemetry, CampaignConfig, CampaignResult,
+};
 use bvf_campaign::{run_sharded, ParallelConfig};
+use bvf_telemetry::{Registry, Telemetry, TraceEvent, TraceSink};
 use proptest::prelude::*;
 
 fn config(iters: usize, seed: u64) -> CampaignConfig {
@@ -170,6 +176,97 @@ fn merged_trace_is_iteration_ordered_and_worker_tagged() {
     }
     assert!(lines >= cfg.iterations, "at least one event per iteration");
     assert_eq!(seen_workers.len(), 2, "both workers contribute events");
+}
+
+/// Keeps every event of a serial campaign in memory.
+struct Recorder(Rc<RefCell<Vec<TraceEvent>>>);
+
+impl TraceSink for Recorder {
+    fn emit(&mut self, event: &TraceEvent) {
+        self.0.borrow_mut().push(event.clone());
+    }
+}
+
+/// Checks the merge's trace contract: one `finding` event per merged
+/// finding, in merge order, carrying its culprits, and one
+/// `oracle.triage_ns` sample per triaged finding. With triage off the
+/// events still come, with empty culprits and `triage_ns` 0.
+fn assert_finding_events(
+    r: &CampaignResult,
+    events: &[TraceEvent],
+    registry: &Registry,
+    triage: bool,
+) {
+    let mut seen = Vec::new();
+    for e in events {
+        if let TraceEvent::Finding {
+            iter,
+            signature,
+            culprits,
+            triage_ns,
+            ..
+        } = e
+        {
+            seen.push((*iter, signature.clone(), culprits.clone()));
+            assert!(triage || *triage_ns == 0, "untriaged, yet timed");
+        }
+    }
+    let expected: Vec<(usize, String, Vec<String>)> = r
+        .findings
+        .iter()
+        .map(|f| {
+            let culprits = f.culprits.iter().map(|b| b.name().to_string()).collect();
+            (f.iteration, f.signature.clone(), culprits)
+        })
+        .collect();
+    assert!(!expected.is_empty(), "campaign must find something");
+    assert_eq!(seen, expected);
+    assert_eq!(r.findings.iter().any(|f| !f.culprits.is_empty()), triage);
+    let samples = registry
+        .histogram("oracle.triage_ns")
+        .map_or(0, |h| h.count);
+    let want = if triage { r.findings.len() as u64 } else { 0 };
+    assert_eq!(samples, want, "one triage_ns sample per triaged finding");
+}
+
+#[test]
+fn traces_carry_one_finding_event_per_merged_finding() {
+    for triage in [true, false] {
+        let cfg = CampaignConfig {
+            triage,
+            ..config(600, 11)
+        };
+
+        let events = Rc::new(RefCell::new(Vec::new()));
+        let mut tel = Telemetry::new(Box::new(Recorder(Rc::clone(&events))));
+        let serial = run_campaign_with_telemetry(&cfg, &mut tel);
+        assert_finding_events(&serial, &events.borrow(), &tel.registry, triage);
+
+        let mut pcfg = ParallelConfig::new(2);
+        pcfg.trace = true;
+        let outcome = run_sharded(&cfg, &pcfg);
+        let trace = String::from_utf8(outcome.trace.expect("trace requested")).unwrap();
+        let mut events = Vec::new();
+        // Each finding event is tagged with the worker that generated
+        // its iteration's program.
+        let mut gen_worker = BTreeMap::new();
+        for line in trace.lines() {
+            let v: serde_json::Value = serde_json::from_str(line).unwrap();
+            let worker = v["worker"].as_u64().unwrap();
+            let event: TraceEvent = serde_json::from_value(v).unwrap();
+            match &event {
+                TraceEvent::Gen { iter, .. } => {
+                    gen_worker.insert(*iter, worker);
+                }
+                TraceEvent::Finding { iter, .. } => {
+                    assert_eq!(gen_worker.get(iter), Some(&worker), "iteration {iter}");
+                }
+                _ => {}
+            }
+            events.push(event);
+        }
+        assert_finding_events(&outcome.result, &events, &outcome.registry, triage);
+    }
 }
 
 #[test]

@@ -79,12 +79,17 @@
 //! `bvf serve` starts the distributed campaign-fabric coordinator
 //! (`bvf-fabric`): workers attach with `bvf worker --connect`, clients
 //! submit campaigns with `fuzz --remote ADDR` using the same campaign
-//! flags as a local run. Batch leases, corpus-exchange deltas, and
-//! finding-dedup claims travel the wire, and the merged result —
-//! including under worker churn — is bit-identical to running the same
-//! config locally (`--json-out` files differ only in the observational
-//! `metrics` member). `--state DIR` persists the fabric-wide dedup
-//! claims log and per-campaign stats across coordinator restarts.
+//! flags as a local run. Batch leases and corpus-exchange deltas travel
+//! the wire, the coordinator merges (and triages) the completed
+//! batches, and the merged result — including under worker churn — is
+//! bit-identical to running the same config locally (`--json-out` files
+//! differ only in the observational `metrics` member). `--state DIR`
+//! receives per-campaign stats and a counters dump on shutdown.
+//!
+//! Every output `fuzz` writes (`--json-out`, `--corpus-out`,
+//! `--trace-out`, the `--save-findings` directory) is created before
+//! the first iteration, so an unwritable path exits 1 at once instead
+//! of after the whole campaign.
 //!
 //! `bvf corpus export` runs a campaign (same flags as `fuzz`) and
 //! writes a versioned corpus snapshot — per lease batch, the retained
@@ -452,6 +457,7 @@ fn cmd_fuzz(args: &Args) {
         cmd_fuzz_remote(args, addr, cfg);
         return;
     }
+    create_outputs(args);
     let (iters, seed) = (cfg.iterations, cfg.seed);
     let workers = parse_workers(args);
     let corpus_out = args.opt("--corpus-out");
@@ -604,11 +610,32 @@ fn print_findings(findings: &[FindingRecord]) {
     }
 }
 
+/// Creates every output `fuzz` was asked for before the campaign runs,
+/// so an unwritable path fails at once rather than after the last
+/// iteration.
+fn create_outputs(args: &Args) {
+    for (flag, what) in [
+        ("--json-out", "stats file"),
+        ("--corpus-out", "corpus snapshot"),
+        ("--trace-out", "trace file"),
+    ] {
+        if let Some(path) = args.opt(flag) {
+            if let Err(e) = std::fs::File::create(path) {
+                eprintln!("cannot create {what} {path}: {e}");
+                exit(1);
+            }
+        }
+    }
+    if let Some(dir) = args.opt("--save-findings") {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create findings dir {dir}: {e}");
+            exit(1);
+        }
+    }
+}
+
+/// Saves each finding's scenario into `dir` ([`create_outputs`] made it).
 fn save_findings(dir: &str, seed: u64, findings: &[FindingRecord]) {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-        eprintln!("cannot create findings dir {dir}: {e}");
-        exit(1);
-    });
     // Seed-qualified names let campaigns share a directory; refuse
     // to overwrite before writing anything rather than midway.
     let paths: Vec<_> = (0..findings.len())
@@ -663,6 +690,7 @@ fn cmd_fuzz_remote(args: &Args, addr: &str, cfg: CampaignConfig) {
             exit(2);
         }
     }
+    create_outputs(args);
     let seed = cfg.seed;
     eprintln!(
         "fuzzing via coordinator {addr}: {} iterations, generator {}, {} defects injected, sanitation {}",
@@ -719,6 +747,14 @@ fn cmd_serve(args: &Args) {
         exit(2);
     };
     let defaults = CoordinatorOptions::default();
+    if let Some(dir) = args.opt("--state") {
+        // Created before binding, so a bad state dir is not reported as
+        // a bad address.
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create state dir {dir}: {e}");
+            exit(1);
+        }
+    }
     let opts = CoordinatorOptions {
         state_dir: args.opt("--state").map(PathBuf::from),
         lease_timeout: args
@@ -736,14 +772,12 @@ fn cmd_serve(args: &Args) {
     match coordinator.run() {
         Ok(c) => eprintln!(
             "coordinator shut down: {} leases issued ({} re-issued), {} completions \
-             ({} duplicate), {} deltas streamed, {} dedup claims ({} first), {} worker sessions",
+             ({} duplicate), {} deltas streamed, {} worker sessions",
             c.leases_issued,
             c.leases_reissued,
             c.completions,
             c.duplicate_completions,
             c.deltas_streamed,
-            c.claims,
-            c.claims_first,
             c.worker_sessions
         ),
         Err(e) => {

@@ -16,14 +16,14 @@
 //! the imported coverage, so a cross-host campaign spends its budget on
 //! what the exporting campaign did not already reach.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use bvf_verifier::Coverage;
 
-use crate::fuzz::{BatchOutput, BatchSeed, CampaignConfig, ShapeStats, CORPUS_CAP};
+use crate::fuzz::{BatchOutput, BatchSeed, CampaignConfig, FindingRecord, ShapeStats, CORPUS_CAP};
 use crate::scenario::Scenario;
 
 /// The snapshot format tag (`format` field).
@@ -40,7 +40,8 @@ pub struct SnapshotFinding {
     pub iteration: usize,
     /// The oracle indicator, as its debug name.
     pub indicator: String,
-    /// Triaged culprit defect names (empty when untriaged).
+    /// Triaged culprit defect names on the record the merge kept for its
+    /// signature; empty on the others, and when untriaged.
     pub culprits: Vec<String>,
 }
 
@@ -88,8 +89,17 @@ pub struct CorpusSnapshot {
 
 impl CorpusSnapshot {
     /// Builds a snapshot from a campaign's batch outputs (any order;
-    /// records are sorted by batch id).
-    pub fn from_outputs(cfg: &CampaignConfig, outputs: &[BatchOutput]) -> CorpusSnapshot {
+    /// records are sorted by batch id) and the findings
+    /// [`merge_batches`](crate::fuzz::merge_batches) kept, whose
+    /// culprits go on the kept records only.
+    pub fn from_outputs(
+        cfg: &CampaignConfig,
+        outputs: &[BatchOutput],
+        merged: &[FindingRecord],
+    ) -> CorpusSnapshot {
+        // An iteration yields at most one finding, so it names the record.
+        let kept: HashMap<usize, &FindingRecord> =
+            merged.iter().map(|f| (f.iteration, f)).collect();
         let mut batches: Vec<SnapshotBatch> = outputs
             .iter()
             .map(|o| SnapshotBatch {
@@ -105,7 +115,9 @@ impl CorpusSnapshot {
                         signature: f.signature.clone(),
                         iteration: f.iteration,
                         indicator: format!("{:?}", f.finding.indicator),
-                        culprits: f.culprits.iter().map(|b| b.name().to_string()).collect(),
+                        culprits: kept.get(&f.iteration).map_or_else(Vec::new, |k| {
+                            k.culprits.iter().map(|b| b.name().to_string()).collect()
+                        }),
                     })
                     .collect(),
             })
@@ -318,15 +330,15 @@ mod tests {
     use super::*;
     use crate::baseline::GeneratorKind;
     use crate::fuzz::{
-        batch_count, merge_batches, run_campaign, CampaignWorker, CorpusLedger, SerialDedup,
+        batch_count, merge_batches, run_campaign, CampaignResult, CampaignWorker, CorpusLedger,
     };
     use bvf_runtime::ExecScratch;
     use bvf_telemetry::Telemetry;
 
     /// Runs a small campaign through the public batch pieces and
-    /// returns its outputs (the serial drivers do not expose them).
-    fn campaign_outputs(cfg: &CampaignConfig) -> Vec<BatchOutput> {
-        let dedup = SerialDedup::default();
+    /// returns its snapshot and merged result (the serial drivers do
+    /// not expose their batch outputs).
+    fn campaign_snapshot(cfg: &CampaignConfig) -> (CorpusSnapshot, CampaignResult) {
         let mut ledger = CorpusLedger::new(cfg);
         let mut scratch = ExecScratch::new();
         let mut tel = Telemetry::null();
@@ -334,12 +346,16 @@ mod tests {
         for b in 0..batch_count(cfg) {
             let seed = ledger.seed_for(cfg, b);
             let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
-            while w.step(&mut tel, &dedup, &mut scratch) {}
+            while w.step(&mut tel, &mut scratch) {}
             let out = w.into_output();
             ledger.publish(b, out.ledger_entry());
             outputs.push(out);
         }
-        outputs
+        let result = merge_batches(cfg, &outputs, &mut tel);
+        (
+            CorpusSnapshot::from_outputs(cfg, &outputs, &result.findings),
+            result,
+        )
     }
 
     fn small_config(iters: usize, seed: u64) -> CampaignConfig {
@@ -352,9 +368,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let cfg = small_config(96, 7);
-        let outputs = campaign_outputs(&cfg);
-        let snap = CorpusSnapshot::from_outputs(&cfg, &outputs);
+        let (snap, _) = campaign_snapshot(&small_config(96, 7));
         assert!(snap.validate().is_ok());
         assert!(snap.corpus_len() > 0, "campaign retained nothing");
         let back = CorpusSnapshot::from_json(&snap.to_json()).unwrap();
@@ -364,20 +378,15 @@ mod tests {
 
     #[test]
     fn snapshot_coverage_matches_campaign_coverage() {
-        let cfg = small_config(96, 7);
-        let outputs = campaign_outputs(&cfg);
-        let snap = CorpusSnapshot::from_outputs(&cfg, &outputs);
-        let (result, _) = merge_batches(&cfg, outputs);
+        let (snap, result) = campaign_snapshot(&small_config(96, 7));
         assert_eq!(snap.coverage(), result.coverage);
         assert_eq!(snap.corpus_len(), result.corpus_len);
     }
 
     #[test]
     fn merged_snapshot_carries_the_union_of_findings() {
-        let a_cfg = small_config(160, 11);
-        let b_cfg = small_config(160, 1234);
-        let a = CorpusSnapshot::from_outputs(&a_cfg, &campaign_outputs(&a_cfg));
-        let b = CorpusSnapshot::from_outputs(&b_cfg, &campaign_outputs(&b_cfg));
+        let (a, _) = campaign_snapshot(&small_config(160, 11));
+        let (b, _) = campaign_snapshot(&small_config(160, 1234));
         let union: BTreeSet<String> = a
             .finding_signatures()
             .union(&b.finding_signatures())
@@ -400,7 +409,7 @@ mod tests {
     #[test]
     fn merge_rejects_the_same_snapshot_twice() {
         let cfg = small_config(96, 7);
-        let snap = CorpusSnapshot::from_outputs(&cfg, &campaign_outputs(&cfg));
+        let (snap, _) = campaign_snapshot(&cfg);
         let err = CorpusSnapshot::merge(vec![snap.clone(), snap]).unwrap_err();
         assert!(err.contains("duplicates batch"), "unhelpful error: {err}");
         assert!(
@@ -415,7 +424,7 @@ mod tests {
         // overlap, disguised with distinct batch ids (as after a prior
         // renumbering merge): still the same work twice.
         let cfg = small_config(96, 7);
-        let snap = CorpusSnapshot::from_outputs(&cfg, &campaign_outputs(&cfg));
+        let (snap, _) = campaign_snapshot(&cfg);
         let mut shifted = snap.clone();
         for b in &mut shifted.batches {
             b.batch += snap.batches.len();
@@ -431,7 +440,7 @@ mod tests {
         // the overlap check compares iteration intervals, not batch id
         // order, so these must merge instead of being falsely rejected.
         let cfg = small_config(96, 7);
-        let snap = CorpusSnapshot::from_outputs(&cfg, &campaign_outputs(&cfg));
+        let (snap, _) = campaign_snapshot(&cfg);
         assert!(snap.batches.len() >= 3, "need three batches to split");
 
         // Export A: the last and first batches as ids 0 and 1 — id
@@ -459,7 +468,7 @@ mod tests {
         // A campaign re-run on top of its own snapshot must retain
         // (almost) nothing new: its coverage was already credited.
         let cfg = small_config(96, 7);
-        let snap = CorpusSnapshot::from_outputs(&cfg, &campaign_outputs(&cfg));
+        let (snap, _) = campaign_snapshot(&cfg);
         let baseline = run_campaign(&cfg);
         let seeded_cfg = CampaignConfig {
             base: snap.to_base(),
@@ -477,7 +486,7 @@ mod tests {
     #[test]
     fn validate_rejects_foreign_and_future_files() {
         let cfg = small_config(32, 1);
-        let mut snap = CorpusSnapshot::from_outputs(&cfg, &[]);
+        let mut snap = CorpusSnapshot::from_outputs(&cfg, &[], &[]);
         snap.format = "something-else".to_string();
         assert!(snap.validate().is_err());
         snap.format = CORPUS_FORMAT.to_string();

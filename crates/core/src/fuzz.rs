@@ -4,8 +4,10 @@
 //! the baseline generators otherwise, or a mutation of a saved corpus
 //! entry), runs it on a recycled kernel, feeds verifier branch coverage
 //! back into the corpus, and hands accepted-but-misbehaving programs to
-//! the oracle. Findings are deduplicated by report signature and triaged
-//! differentially to the injected defect that causes them.
+//! the oracle. Each batch records its locally fresh findings untriaged;
+//! [`merge_batches`] deduplicates them by report signature across
+//! batches and triages each survivor, once, differentially to the
+//! injected defects that cause it.
 //!
 //! # Lease batches
 //!
@@ -30,7 +32,7 @@
 //! coincidental.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -184,17 +186,14 @@ impl CampaignConfig {
 pub struct FindingRecord {
     /// The finding itself.
     pub finding: Finding,
-    /// Injected defects necessary for it (differential triage).
+    /// Injected defects necessary for it, computed by differential
+    /// triage in [`merge_batches`]. Empty in a [`BatchOutput`], and
+    /// when triage is off.
     pub culprits: Vec<BugId>,
     /// Global campaign iteration at which it was first seen.
     pub iteration: usize,
     /// Ordering-stable dedup signature ([`report_signature`]).
     pub signature: String,
-    /// Whether `culprits` was actually computed. `false` when triage is
-    /// disabled, or when this batch lost the global claim on the
-    /// signature; [`merge_batches`] re-triages surviving untriaged
-    /// records so merged results never depend on claim order.
-    pub triaged: bool,
 }
 
 /// Aggregated results of one campaign.
@@ -464,48 +463,6 @@ pub fn seed_generations(cfg: &CampaignConfig, batch: usize) -> usize {
     generation_of(cfg, batch).saturating_sub(1)
 }
 
-/// Cross-batch finding dedup hook consulted by [`CampaignWorker::step`]
-/// the moment a *locally* fresh signature appears. The serial driver
-/// uses [`SerialDedup`]; the parallel orchestrator shares a sharded
-/// concurrent signature set between workers. Either way only the first
-/// claimant pays for differential triage — [`merge_batches`] re-triages
-/// surviving claim losers, so merged results are independent of claim
-/// order.
-pub trait GlobalDedup: Sync {
-    /// Claims `sig` globally; returns `true` iff this caller is the
-    /// first in the whole campaign to claim it (and should therefore
-    /// triage the finding eagerly).
-    fn claim(&self, sig: &str) -> bool;
-}
-
-/// The trivial dedup: every locally fresh signature is globally fresh.
-/// Only appropriate when a single batch runs in isolation (unit tests).
-pub struct NoGlobalDedup;
-
-impl GlobalDedup for NoGlobalDedup {
-    fn claim(&self, _sig: &str) -> bool {
-        true
-    }
-}
-
-/// Campaign-wide signature claims for the serial driver: a plain
-/// mutex-guarded set, probing before insert so the already-present path
-/// allocates nothing.
-#[derive(Default)]
-pub struct SerialDedup(Mutex<HashSet<String>>);
-
-impl GlobalDedup for SerialDedup {
-    fn claim(&self, sig: &str) -> bool {
-        let mut set = self.0.lock().unwrap();
-        if set.contains(sig) {
-            false
-        } else {
-            set.insert(sig.to_string());
-            true
-        }
-    }
-}
-
 /// What one lease batch publishes to the corpus-exchange ledger: the
 /// corpus entries it retained and the coverage *delta* it observed
 /// beyond its seed view. Deltas are disjoint-by-construction from the
@@ -698,17 +655,15 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
 /// progress into `tel`.
 ///
 /// This is the reference serial schedule: lease batches executed in
-/// order against one [`CorpusLedger`], one [`SerialDedup`], and one
-/// reusable [`ExecScratch`], then folded by [`merge_batches`]. Any
-/// other schedule of the same batches merges to a bit-identical
-/// [`CampaignResult`].
+/// order against one [`CorpusLedger`] and one reusable [`ExecScratch`],
+/// then folded by [`merge_batches`]. Any other schedule of the same
+/// batches merges to a bit-identical [`CampaignResult`].
 ///
 /// Telemetry is strictly observational: no campaign decision (corpus
 /// retention, dedup, triage) reads a timestamp or metric back, so the
 /// returned [`CampaignResult`] is bit-identical whatever sink `tel`
 /// carries — `campaigns_are_deterministic` asserts exactly this.
 pub fn run_campaign_with_telemetry(cfg: &CampaignConfig, tel: &mut Telemetry) -> CampaignResult {
-    let dedup = SerialDedup::default();
     let mut ledger = CorpusLedger::new(cfg);
     let mut scratch = ExecScratch::new();
     let batches = batch_count(cfg);
@@ -719,7 +674,7 @@ pub fn run_campaign_with_telemetry(cfg: &CampaignConfig, tel: &mut Telemetry) ->
     for b in 0..batches {
         let seed = ledger.seed_for(cfg, b);
         let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
-        while w.step(tel, &dedup, &mut scratch) {
+        while w.step(tel, &mut scratch) {
             tel.progress(
                 w.last_iter(),
                 cfg.iterations,
@@ -736,7 +691,7 @@ pub fn run_campaign_with_telemetry(cfg: &CampaignConfig, tel: &mut Telemetry) ->
         ledger.publish(b, out.ledger_entry());
         outputs.push(out);
     }
-    let (result, _) = merge_batches(cfg, outputs);
+    let result = merge_batches(cfg, &outputs, tel);
     tel.registry
         .set_gauge("corpus_len", result.corpus_len as i64);
     tel.registry
@@ -775,9 +730,8 @@ pub struct BatchOutput {
     /// Coverage points first observed by this batch — a delta against
     /// the batch's seed view, disjoint from it by construction.
     pub cov_delta: Coverage,
-    /// Locally deduplicated findings (cross-batch dedup happens at
-    /// merge; records that lost the global triage claim have
-    /// `triaged == false`).
+    /// Locally deduplicated findings, untriaged (cross-batch dedup
+    /// and triage happen at merge).
     pub findings: Vec<FindingRecord>,
     /// Corpus entries retained and published by this batch (capped at
     /// [`CampaignConfig::exchange_batch`]).
@@ -809,9 +763,7 @@ impl BatchOutput {
 /// of the fuzzing loop, advanced one iteration at a time by [`step`].
 ///
 /// A worker owns its RNG stream (keyed by batch id), its seed view, and
-/// its coverage delta; the only shared state it touches is the
-/// [`GlobalDedup`] claim set, whose outcome merely decides *where*
-/// triage runs, never *what* the merged result is.
+/// its coverage delta, and touches no shared state.
 ///
 /// [`step`]: CampaignWorker::step
 pub struct CampaignWorker {
@@ -957,16 +909,10 @@ impl CampaignWorker {
     /// identical to fresh allocation, which
     /// `recycled_kernel_is_bit_identical_to_fresh` pins down.
     ///
-    /// `global` is consulted once per *locally* fresh finding
-    /// signature; losing the global claim records the finding untriaged
-    /// (`triaged == false`) for [`merge_batches`] to resolve
-    /// deterministically.
-    pub fn step(
-        &mut self,
-        tel: &mut Telemetry,
-        global: &dyn GlobalDedup,
-        scratch: &mut ExecScratch,
-    ) -> bool {
+    /// A finding whose signature is fresh to this batch is recorded
+    /// untriaged; [`merge_batches`] triages the record that survives
+    /// cross-batch dedup.
+    pub fn step(&mut self, tel: &mut Telemetry, scratch: &mut ExecScratch) -> bool {
         if self.done >= self.len {
             return false;
         }
@@ -1138,34 +1084,11 @@ impl CampaignWorker {
                 });
             }
             if fresh_sig {
-                let claimed = global.claim(&sig);
-                if !claimed {
-                    tel.registry.inc("oracle.global_dedup_hits");
-                }
-                let t0 = Instant::now();
-                let triaged = cfg.triage && claimed;
-                let culprits = if triaged {
-                    triage(&finding, &self.run)
-                } else {
-                    Vec::new()
-                };
-                let triage_ns = elapsed_ns(t0);
-                tel.registry.record("oracle.triage_ns", triage_ns);
-                if tel.trace_on() {
-                    tel.emit(&TraceEvent::Finding {
-                        iter,
-                        indicator: format!("{:?}", finding.indicator),
-                        signature: sig.clone(),
-                        culprits: culprits.iter().map(|b| b.name().to_string()).collect(),
-                        triage_ns,
-                    });
-                }
                 self.findings.push(FindingRecord {
                     finding,
-                    culprits,
+                    culprits: Vec::new(),
                     iteration: iter,
                     signature: sig,
-                    triaged,
                 });
             }
         }
@@ -1203,32 +1126,26 @@ impl CampaignWorker {
     }
 }
 
-/// Counters from [`merge_batches`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Findings dropped because an earlier batch already recorded the
-    /// signature.
-    pub cross_batch_dupes: usize,
-    /// Surviving findings whose culprits were computed at merge time
-    /// (their batch lost the global triage claim to a later batch).
-    pub merge_triaged: usize,
-}
-
 /// Folds batch outputs into the canonical [`CampaignResult`].
 ///
 /// The fold is over outputs **sorted by batch id**, so it is invariant
 /// to the order the scheduler delivered them in: coverage is the union
 /// of disjoint per-batch deltas; findings dedup by signature with the
-/// earliest batch winning (matching serial iteration order); untriaged
-/// survivors are re-triaged here so claim order never shows in the
-/// result; the timeline is reconstructed at batch granularity on the
+/// earliest batch winning (matching serial iteration order); the
+/// timeline is reconstructed at batch granularity on the
 /// [`CampaignConfig::snapshot_every`] cadence.
+///
+/// This is the only place a campaign triages: each surviving finding is
+/// triaged once (unless [`CampaignConfig::triage`] is off) and reported
+/// to `tel` as one `finding` trace event and one `oracle.triage_ns`
+/// sample. Dropped duplicates count in `merge.cross_batch_dupes`.
 pub fn merge_batches(
     cfg: &CampaignConfig,
-    mut outputs: Vec<BatchOutput>,
-) -> (CampaignResult, MergeStats) {
+    outputs: &[BatchOutput],
+    tel: &mut Telemetry,
+) -> CampaignResult {
+    let mut outputs: Vec<&BatchOutput> = outputs.iter().collect();
     outputs.sort_by_key(|o| o.batch);
-    let mut stats = MergeStats::default();
     let mut iterations = 0usize;
     let mut accepted = 0usize;
     let mut errno_histogram: BTreeMap<i32, usize> = BTreeMap::new();
@@ -1236,7 +1153,7 @@ pub fn merge_batches(
     let mut coverage = Coverage::new();
     let mut timeline = Vec::new();
     let mut findings: Vec<FindingRecord> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut seen: HashSet<&str> = HashSet::new();
     let mut alu_share_sum = 0.0f64;
     let mut len_sum = 0usize;
     let mut corpus_len = 0usize;
@@ -1248,18 +1165,18 @@ pub fn merge_batches(
     for (i, o) in outputs.into_iter().enumerate() {
         iterations += o.iterations;
         accepted += o.accepted;
-        for (errno, count) in o.errno_histogram {
-            *errno_histogram.entry(errno).or_insert(0) += count;
+        for (errno, count) in &o.errno_histogram {
+            *errno_histogram.entry(*errno).or_insert(0) += count;
         }
-        for (reason, count) in o.reject_reasons {
-            *reject_reasons.entry(reason).or_insert(0) += count;
+        for (reason, count) in &o.reject_reasons {
+            *reject_reasons.entry(reason.clone()).or_insert(0) += count;
         }
         coverage.merge(&o.cov_delta);
-        for f in o.findings {
-            if seen.insert(f.signature.clone()) {
-                findings.push(f);
+        for f in &o.findings {
+            if seen.insert(&f.signature) {
+                findings.push(f.clone());
             } else {
-                stats.cross_batch_dupes += 1;
+                tel.registry.inc("merge.cross_batch_dupes");
             }
         }
         alu_share_sum += o.alu_share_sum;
@@ -1278,10 +1195,21 @@ pub fn merge_batches(
     }
     let run_cfg = cfg.run_config();
     for f in &mut findings {
-        if cfg.triage && !f.triaged {
+        let mut triage_ns = 0;
+        if cfg.triage {
+            let t0 = Instant::now();
             f.culprits = triage(&f.finding, &run_cfg);
-            f.triaged = true;
-            stats.merge_triaged += 1;
+            triage_ns = elapsed_ns(t0);
+            tel.registry.record("oracle.triage_ns", triage_ns);
+        }
+        if tel.trace_on() {
+            tel.emit(&TraceEvent::Finding {
+                iter: f.iteration,
+                indicator: format!("{:?}", f.finding.indicator),
+                signature: f.signature.clone(),
+                culprits: f.culprits.iter().map(|b| b.name().to_string()).collect(),
+                triage_ns,
+            });
         }
     }
     let found_bugs: BTreeSet<BugId> = findings
@@ -1289,25 +1217,22 @@ pub fn merge_batches(
         .flat_map(|f| f.culprits.iter().copied())
         .collect();
     let denom = iterations.max(1) as f64;
-    (
-        CampaignResult {
-            generator: cfg.generator,
-            iterations,
-            accepted,
-            errno_histogram,
-            reject_reasons,
-            coverage,
-            timeline,
-            findings,
-            found_bugs,
-            alu_jmp_share: alu_share_sum / denom,
-            avg_prog_len: len_sum as f64 / denom,
-            corpus_len,
-            diff,
-            san,
-        },
-        stats,
-    )
+    CampaignResult {
+        generator: cfg.generator,
+        iterations,
+        accepted,
+        errno_histogram,
+        reject_reasons,
+        coverage,
+        timeline,
+        findings,
+        found_bugs,
+        alu_jmp_share: alu_share_sum / denom,
+        avg_prog_len: len_sum as f64 / denom,
+        corpus_len,
+        diff,
+        san,
+    }
 }
 
 #[cfg(test)]
@@ -1509,7 +1434,6 @@ mod tests {
         };
         let serial = run_campaign(&cfg);
 
-        let dedup = SerialDedup::default();
         let mut ledger = CorpusLedger::new(&cfg);
         let mut scratch = ExecScratch::new();
         let mut tel = Telemetry::null();
@@ -1519,7 +1443,7 @@ mod tests {
             let seed = ledger.seed_for(&cfg, b);
             let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
             let mut steps = 0;
-            while w.step(&mut tel, &dedup, &mut scratch) {
+            while w.step(&mut tel, &mut scratch) {
                 steps += 1;
             }
             assert_eq!(steps, batch_bounds(&cfg, b).1);
@@ -1527,7 +1451,7 @@ mod tests {
             ledger.publish(b, out.ledger_entry());
             outputs.push(out);
         }
-        let (r, _) = merge_batches(&cfg, outputs);
+        let r = merge_batches(&cfg, &outputs, &mut tel);
         assert_eq!(r.iterations, serial.iterations);
         assert_eq!(r.accepted, serial.accepted);
         assert_eq!(r.coverage, serial.coverage);
@@ -1546,36 +1470,21 @@ mod tests {
             exchange_every: 32,
             ..CampaignConfig::new(GeneratorKind::Bvf, 72, 21)
         };
-        let dedup = SerialDedup::default();
         let mut ledger = CorpusLedger::new(&cfg);
         let mut scratch = ExecScratch::new();
         let mut tel = Telemetry::null();
-        let run = |order: &mut Vec<BatchOutput>| merge_batches(&cfg, std::mem::take(order));
         let mut outputs = Vec::new();
         for b in 0..batch_count(&cfg) {
             let seed = ledger.seed_for(&cfg, b);
             let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
-            while w.step(&mut tel, &dedup, &mut scratch) {}
+            while w.step(&mut tel, &mut scratch) {}
             let out = w.into_output();
             ledger.publish(b, out.ledger_entry());
             outputs.push(out);
         }
-        // merge_batches consumes its input, so rebuild the reversed
-        // order from a second identical campaign run.
-        let mut ledger2 = CorpusLedger::new(&cfg);
-        let dedup2 = SerialDedup::default();
-        let mut reversed = Vec::new();
-        for b in 0..batch_count(&cfg) {
-            let seed = ledger2.seed_for(&cfg, b);
-            let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
-            while w.step(&mut tel, &dedup2, &mut scratch) {}
-            let out = w.into_output();
-            ledger2.publish(b, out.ledger_entry());
-            reversed.push(out);
-        }
-        reversed.reverse();
-        let (a, _) = run(&mut outputs);
-        let (b, _) = run(&mut reversed);
+        let a = merge_batches(&cfg, &outputs, &mut tel);
+        outputs.reverse();
+        let b = merge_batches(&cfg, &outputs, &mut tel);
         assert_eq!(a.accepted, b.accepted);
         assert_eq!(a.coverage, b.coverage);
         assert_eq!(a.errno_histogram, b.errno_histogram);
@@ -1585,14 +1494,6 @@ mod tests {
             a.findings.iter().map(|f| &f.signature).collect::<Vec<_>>(),
             b.findings.iter().map(|f| &f.signature).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn serial_dedup_claims_once() {
-        let d = SerialDedup::default();
-        assert!(d.claim("sig-a"));
-        assert!(!d.claim("sig-a"));
-        assert!(d.claim("sig-b"));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use baseline::{GenShape, GeneratorKind};
 pub use corpus::{CorpusSnapshot, SnapshotBatch, SnapshotFinding};
 pub use fuzz::{
     merge_batches, run_campaign, BatchOutput, BatchSeed, CampaignConfig, CampaignResult,
-    CorpusLedger, MergeStats, ShapeStats,
+    CorpusLedger, ShapeStats,
 };
 pub use gen::{GenConfig, StructuredGen};
 pub use minimize::{minimize, MinimizeOutcome};

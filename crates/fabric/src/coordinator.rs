@@ -29,24 +29,22 @@ use std::time::{Duration, Instant};
 
 use bvf::fuzz::{batch_count, merge_batches, BatchOutput, CampaignConfig, CorpusLedger};
 use bvf_telemetry::fabric::FabricCounters;
-use bvf_telemetry::Registry;
+use bvf_telemetry::Telemetry;
 
 use crate::proto::{
     CampaignStatus, CorpusDelta, FrameConn, LeaseGrant, Request, Response, Role, FABRIC_MAGIC,
     FABRIC_VERSION,
 };
-use crate::store::DedupStore;
 use crate::FabricError;
 
-/// Name of the append-only dedup claims log inside the state dir.
-pub const DEDUP_LOG: &str = "dedup.sigs";
 /// Name of the counters dump written on graceful shutdown.
 pub const COUNTERS_FILE: &str = "fabric-counters.json";
 
 /// Coordinator tuning.
 pub struct CoordinatorOptions {
-    /// State directory: holds the persistent dedup claims log and
-    /// per-campaign stats dumps. `None` keeps everything in memory.
+    /// State directory: receives `campaign-<id>.stats.json` per merged
+    /// campaign and the [`COUNTERS_FILE`] dump on graceful shutdown.
+    /// `None` writes nothing.
     pub state_dir: Option<PathBuf>,
     /// A lease not extended or completed within this window is reaped
     /// and re-issued.
@@ -162,7 +160,6 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
-    dedup: DedupStore,
     lease_timeout: Duration,
     state_dir: Option<PathBuf>,
 }
@@ -175,16 +172,12 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Binds to `addr` and prepares the state directory (created if
-    /// missing; the dedup claims log inside it is reloaded).
+    /// missing).
     pub fn bind<A: ToSocketAddrs>(addr: A, opts: CoordinatorOptions) -> io::Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
-        let dedup = match &opts.state_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                DedupStore::persistent(&dir.join(DEDUP_LOG))?
-            }
-            None => DedupStore::in_memory(),
-        };
+        if let Some(dir) = &opts.state_dir {
+            std::fs::create_dir_all(dir)?;
+        }
         Ok(Coordinator {
             listener,
             shared: Arc::new(Shared {
@@ -196,7 +189,6 @@ impl Coordinator {
                     campaigns: BTreeMap::new(),
                     shutdown: false,
                 }),
-                dedup,
                 lease_timeout: opts.lease_timeout,
                 state_dir: opts.state_dir,
             }),
@@ -358,22 +350,6 @@ fn dispatch(shared: &Shared, session: u64, req: Request) -> Response {
                 });
             Response::Extended { keep }
         }
-        Request::Claim { signature } => {
-            let first = match shared.dedup.claim(&signature) {
-                Ok(first) => first,
-                Err(e) => {
-                    return Response::Error {
-                        reason: format!("dedup store: {e}"),
-                    }
-                }
-            };
-            let mut state = shared.state.lock().unwrap();
-            state.counters.claims += 1;
-            if first {
-                state.counters.claims_first += 1;
-            }
-            Response::Claimed { first }
-        }
         Request::Complete { campaign, output } => complete_batch(shared, campaign, output),
         Request::Submit { config } => {
             let mut state = shared.state.lock().unwrap();
@@ -459,15 +435,15 @@ fn grant_lease(shared: &Shared, session: u64, known: &BTreeMap<u64, u64>) -> Res
 /// as a delta, tallies status, and merges the campaign when the last
 /// batch lands. Duplicate completions (possible after lease re-issue —
 /// both executions are byte-identical) are acknowledged and dropped
-/// *before* the ledger publish, which would otherwise assert. A
-/// finished campaign no longer holds its per-batch outputs (finalize
-/// takes them), so completion-after-finalize is detected first, via
-/// the `finished` flag — a straggler landing after the merge gets the
-/// same stale ack instead of tripping the ledger's publish assert.
+/// *before* the ledger publish, which would otherwise assert. Once every
+/// batch has completed, the outputs belong to the merge, so the guard
+/// keys on `done == total`: a straggler landing during or after the
+/// merge gets the same stale ack instead of tripping the ledger's
+/// publish assert.
 fn complete_batch(shared: &Shared, campaign: u64, output: BatchOutput) -> Response {
-    let mut state = shared.state.lock().unwrap();
+    let mut guard = shared.state.lock().unwrap();
     // Reborrow so `campaigns` and `counters` borrow as disjoint fields.
-    let state = &mut *state;
+    let state = &mut *guard;
     let Some(c) = state.campaigns.get_mut(&campaign) else {
         return Response::Unknown { campaign };
     };
@@ -477,7 +453,7 @@ fn complete_batch(shared: &Shared, campaign: u64, output: BatchOutput) -> Respon
             reason: format!("batch {b} out of range (campaign has {})", c.total),
         };
     }
-    if c.finished.is_some() || c.outputs[b].is_some() {
+    if c.done == c.total || c.outputs[b].is_some() {
         state.counters.duplicate_completions += 1;
         return Response::Accepted { fresh: false };
     }
@@ -498,38 +474,46 @@ fn complete_batch(shared: &Shared, campaign: u64, output: BatchOutput) -> Respon
     c.outputs[b] = Some(output);
     c.done += 1;
     state.counters.completions += 1;
-    if c.done == c.total {
-        finalize_campaign(c, campaign, &state.counters, shared.state_dir.as_deref());
+    if c.done < c.total {
+        return Response::Accepted { fresh: true };
     }
+    // The merge triages every finding of the campaign, so it runs
+    // without the lock that every Lease, Extend and Status request takes.
+    let outputs: Vec<BatchOutput> = c
+        .outputs
+        .iter_mut()
+        .map(|o| o.take().expect("every batch completed"))
+        .collect();
+    let (cfg, counters) = (c.cfg.clone(), state.counters);
+    drop(guard);
+    finalize_campaign(shared, campaign, &cfg, &outputs, &counters);
     Response::Accepted { fresh: true }
 }
 
-/// Merges a fully completed campaign (re-triaging claim losers — this
-/// is where remote-dedup outcomes stop mattering) and persists its
-/// stats to the state dir.
+/// Merges a fully completed campaign (deduplicating and triaging its
+/// findings), persists its stats to the state dir, and stores the
+/// result for [`Request::FetchResult`].
 fn finalize_campaign(
-    c: &mut Campaign,
+    shared: &Shared,
     id: u64,
+    cfg: &CampaignConfig,
+    outputs: &[BatchOutput],
     counters: &FabricCounters,
-    state_dir: Option<&std::path::Path>,
 ) {
-    let outputs: Vec<BatchOutput> = c.outputs.iter_mut().map(|o| o.take().unwrap()).collect();
-    let (result, merge_stats) = merge_batches(&c.cfg, outputs);
-    let mut registry = Registry::new();
-    counters.publish_into(&mut registry);
-    registry.add(
-        "merge.cross_batch_dupes",
-        merge_stats.cross_batch_dupes as u64,
-    );
-    registry.add("merge.merge_triaged", merge_stats.merge_triaged as u64);
-    let stats = result.to_stats(c.cfg.seed, registry);
-    if let Some(dir) = state_dir {
+    let mut tel = Telemetry::null();
+    counters.publish_into(&mut tel.registry);
+    let result = merge_batches(cfg, outputs, &mut tel);
+    let stats = result.to_stats(cfg.seed, tel.registry);
+    if let Some(dir) = &shared.state_dir {
         if let Ok(json) = serde_json::to_string_pretty(&stats) {
             std::fs::write(dir.join(format!("campaign-{id}.stats.json")), json + "\n").ok();
         }
     }
-    c.finished = Some(Finished {
-        stats,
-        findings: result.findings,
-    });
+    let mut state = shared.state.lock().expect("coordinator state poisoned");
+    if let Some(c) = state.campaigns.get_mut(&id) {
+        c.finished = Some(Finished {
+            stats,
+            findings: result.findings,
+        });
+    }
 }

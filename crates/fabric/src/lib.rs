@@ -9,31 +9,29 @@
 //! - the exchange hub's sequence-numbered **corpus deltas** become
 //!   streamed [`proto::CorpusDelta`] frames a worker folds into a
 //!   mirrored [`CorpusLedger`];
-//! - the sharded signature set becomes a **persistent dedup store**
-//!   ([`store::DedupStore`]) serving many concurrent campaigns across
-//!   coordinator restarts.
+//! - the final [`merge_batches`] runs on the coordinator once every
+//!   batch has completed; it deduplicates and triages the findings, so
+//!   workers never exchange anything about findings.
 //!
 //! Determinism is inherited, not re-proven: a batch's output is a pure
 //! function of `(CampaignConfig, batch id, seed view)`, and the
 //! coordinator only grants batches whose seed generations have fully
-//! published — so worker churn, lease re-issue, duplicate completions,
-//! and cross-campaign dedup claims all merge to results **bit-identical**
-//! to a local `--workers N` run. See `DESIGN.md` §6 for the full
-//! argument.
+//! published — so worker churn, lease re-issue and duplicate
+//! completions all merge to results **bit-identical** to a local
+//! `--workers N` run. See `DESIGN.md` §6 for the full argument.
 //!
 //! [`CorpusLedger`]: bvf::fuzz::CorpusLedger
+//! [`merge_batches`]: bvf::fuzz::merge_batches
 
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod coordinator;
 pub mod proto;
-pub mod store;
 pub mod worker;
 
 pub use client::{Client, RemoteOutcome};
 pub use coordinator::{Coordinator, CoordinatorOptions};
-pub use store::DedupStore;
 pub use worker::{run_worker, WorkerOptions, WorkerReport};
 
 use std::fmt;

@@ -26,7 +26,7 @@ use bvf_telemetry::CampaignStats;
 pub const FABRIC_MAGIC: &str = "bvf-fabric";
 
 /// Protocol version; bumped on any frame-shape change.
-pub const FABRIC_VERSION: u32 = 1;
+pub const FABRIC_VERSION: u32 = 2;
 
 /// Hard cap on one frame's body, to bound allocation on a corrupt or
 /// hostile length prefix. Corpus-delta grants dominate frame size and
@@ -128,14 +128,6 @@ pub enum Request {
         /// Leased batch id.
         batch: usize,
     },
-    /// Worker: claim a finding signature in the fabric-wide persistent
-    /// dedup store (the remote [`GlobalDedup`]).
-    ///
-    /// [`GlobalDedup`]: bvf::fuzz::GlobalDedup
-    Claim {
-        /// The finding's dedup signature.
-        signature: String,
-    },
     /// Worker: a leased batch finished; here is its full output.
     Complete {
         /// Campaign id.
@@ -196,13 +188,6 @@ pub enum Response {
         /// Whether the worker still holds the lease.
         keep: bool,
     },
-    /// Answer to [`Request::Claim`].
-    Claimed {
-        /// Whether this claim was the first for the signature across
-        /// the whole store (campaigns and coordinator restarts
-        /// included, when the store is persistent).
-        first: bool,
-    },
     /// Answer to [`Request::Complete`].
     Accepted {
         /// `false` iff the batch had already completed (duplicate from
@@ -236,7 +221,7 @@ pub enum Response {
     },
     /// Acknowledges [`Request::Shutdown`].
     Bye,
-    /// The request could not be served (e.g. dedup-store I/O failure).
+    /// The request could not be served (e.g. a batch id out of range).
     Error {
         /// Human-readable failure description.
         reason: String,

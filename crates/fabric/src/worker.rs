@@ -11,10 +11,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use bvf::fuzz::{CampaignConfig, CampaignWorker, CorpusLedger, GlobalDedup};
+use bvf::fuzz::{CampaignConfig, CampaignWorker, CorpusLedger};
 use bvf_runtime::ExecScratch;
 use bvf_telemetry::Telemetry;
 
@@ -37,9 +36,8 @@ pub struct WorkerOptions {
     /// stop flag is raised or the connection drops).
     pub max_batches: Option<usize>,
     /// Churn-test hook: after completing this many batches, take one
-    /// more lease, execute roughly half of it (dedup claims included),
-    /// then drop the connection without completing — simulating a
-    /// worker crash mid-batch.
+    /// more lease, execute roughly half of it, then drop the connection
+    /// without completing — simulating a worker crash mid-batch.
     pub abandon_after: Option<usize>,
 }
 
@@ -76,30 +74,6 @@ struct MirroredCampaign {
     consumed: u64,
 }
 
-/// The remote [`GlobalDedup`]: claims go through a synchronous RPC on
-/// the worker's connection. A transport failure mid-claim records the
-/// error and reports the claim as won — the batch's output will never
-/// be submitted on the broken connection, so the answer is moot.
-struct RemoteDedup<'a> {
-    conn: &'a Mutex<FrameConn>,
-    failed: AtomicBool,
-}
-
-impl GlobalDedup for RemoteDedup<'_> {
-    fn claim(&self, sig: &str) -> bool {
-        let mut conn = self.conn.lock().unwrap();
-        match conn.rpc(&Request::Claim {
-            signature: sig.to_string(),
-        }) {
-            Ok(Response::Claimed { first }) => first,
-            _ => {
-                self.failed.store(true, Ordering::Relaxed);
-                true
-            }
-        }
-    }
-}
-
 /// Connects to `addr` and executes leases until the stop flag rises,
 /// `max_batches` is reached, or the connection breaks.
 pub fn run_worker(
@@ -121,7 +95,6 @@ pub fn run_worker(
         Response::Refused { reason } => return Err(FabricError::Refused(reason)),
         other => return Err(FabricError::unexpected("Welcome", &other)),
     };
-    let conn = Mutex::new(conn);
     let mut campaigns: HashMap<u64, MirroredCampaign> = HashMap::new();
     let mut scratch = ExecScratch::new();
     let mut report = WorkerReport::default();
@@ -130,7 +103,7 @@ pub fn run_worker(
             break;
         }
         let known = campaigns.iter().map(|(id, c)| (*id, c.consumed)).collect();
-        let grant = match conn.lock().unwrap().rpc(&Request::Lease { known })? {
+        let grant = match conn.rpc(&Request::Lease { known })? {
             Response::Granted(g) => g,
             Response::NoWork => {
                 std::thread::sleep(opts.poll);
@@ -171,19 +144,10 @@ pub fn run_worker(
             .abandon_after
             .filter(|&n| report.batches >= n)
             .map(|_| (w.len() / 2).max(1));
-        let dedup = RemoteDedup {
-            conn: &conn,
-            failed: AtomicBool::new(false),
-        };
         let mut tel = Telemetry::null();
         let mut keep = true;
         let mut extended_at = Instant::now();
-        while w.step(&mut tel, &dedup, &mut scratch) {
-            if dedup.failed.load(Ordering::Relaxed) {
-                return Err(FabricError::Protocol(
-                    "connection lost during dedup claim".to_string(),
-                ));
-            }
+        while w.step(&mut tel, &mut scratch) {
             if churn_at.is_some_and(|n| w.done() >= n) {
                 // Simulated crash: drop the connection mid-batch.
                 report.churned = true;
@@ -195,7 +159,7 @@ pub fn run_worker(
             let due = w.done().is_multiple_of(opts.heartbeat_steps.max(1))
                 || extended_at.elapsed() >= heartbeat_every;
             if opts.heartbeat_steps > 0 && due {
-                match conn.lock().unwrap().rpc(&Request::Extend {
+                match conn.rpc(&Request::Extend {
                     campaign: grant.campaign,
                     batch: grant.batch,
                 })? {
@@ -215,7 +179,7 @@ pub fn run_worker(
             continue;
         }
         let output = w.into_output();
-        match conn.lock().unwrap().rpc(&Request::Complete {
+        match conn.rpc(&Request::Complete {
             campaign: grant.campaign,
             output,
         })? {

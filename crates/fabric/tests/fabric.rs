@@ -11,7 +11,7 @@ use std::time::Duration;
 use bvf::baseline::GeneratorKind;
 use bvf::fuzz::{
     batch_count, merge_batches, run_campaign, BatchOutput, CampaignConfig, CampaignWorker,
-    CorpusLedger, SerialDedup,
+    CorpusLedger,
 };
 use bvf_fabric::proto::{
     read_frame, write_frame, CampaignStatus, CorpusDelta, FrameConn, LeaseGrant, Request, Response,
@@ -34,7 +34,6 @@ fn small_config(iters: usize, seed: u64) -> CampaignConfig {
 /// raw outputs (for building realistic protocol payloads) alongside the
 /// merged result.
 fn serial_outputs(cfg: &CampaignConfig) -> Vec<BatchOutput> {
-    let dedup = SerialDedup::default();
     let mut ledger = CorpusLedger::new(cfg);
     let mut scratch = ExecScratch::new();
     let mut tel = Telemetry::null();
@@ -42,7 +41,7 @@ fn serial_outputs(cfg: &CampaignConfig) -> Vec<BatchOutput> {
     for b in 0..batch_count(cfg) {
         let seed = ledger.seed_for(cfg, b);
         let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
-        while w.step(&mut tel, &dedup, &mut scratch) {}
+        while w.step(&mut tel, &mut scratch) {}
         let out = w.into_output();
         ledger.publish(b, out.ledger_entry());
         outputs.push(out);
@@ -71,7 +70,7 @@ fn every_frame_type_round_trips() {
     let outputs = serial_outputs(&cfg);
     let entry = outputs[0].ledger_entry();
     let output = outputs[0].clone();
-    let (result, _) = merge_batches(&cfg, outputs);
+    let result = merge_batches(&cfg, &outputs, &mut Telemetry::null());
     let stats = result.to_stats(cfg.seed, Registry::new());
     let status = CampaignStatus {
         campaign: 3,
@@ -97,9 +96,6 @@ fn every_frame_type_round_trips() {
         Request::Extend {
             campaign: 1,
             batch: 9,
-        },
-        Request::Claim {
-            signature: "One:kasan".to_string(),
         },
         Request::Complete {
             campaign: 1,
@@ -136,7 +132,6 @@ fn every_frame_type_round_trips() {
         }),
         Response::NoWork,
         Response::Extended { keep: true },
-        Response::Claimed { first: false },
         Response::Accepted { fresh: true },
         Response::Submitted { campaign: 7 },
         Response::StatusReport(status),
@@ -152,13 +147,11 @@ fn every_frame_type_round_trips() {
             worker_sessions: 2,
             completions: 13,
             duplicate_completions: 1,
-            claims: 55,
-            claims_first: 41,
         }),
         Response::Unknown { campaign: 99 },
         Response::Bye,
         Response::Error {
-            reason: "dedup store: disk full".to_string(),
+            reason: "batch 9 out of range (campaign has 4)".to_string(),
         },
     ];
     for resp in &responses {
@@ -270,7 +263,7 @@ fn fabric_run(
     let campaign = client.submit(cfg.clone()).unwrap();
 
     // Churn phase: each churner completes one batch, then crashes
-    // mid-second-batch (dedup claims already sent, connection dropped).
+    // mid-second-batch (connection dropped).
     let churn: Vec<_> = (0..churners)
         .map(|_| {
             let addr = addr.clone();
@@ -367,7 +360,7 @@ fn churned_workers_do_not_change_the_result() {
     let local_stats = local.to_stats(cfg.seed, Registry::new());
 
     // Two steady workers plus two that crash mid-batch (connection
-    // dropped halfway through a lease, dedup claims already sent).
+    // dropped halfway through a lease).
     let (outcome, counters) = fabric_run(&cfg, 2, 2);
 
     assert!(

@@ -27,11 +27,6 @@ pub const COMPLETIONS: &str = "fabric.completions";
 /// `Registry` counter: batch completions ignored because the batch had
 /// already completed (an expired lease raced its re-issue).
 pub const DUPLICATE_COMPLETIONS: &str = "fabric.duplicate_completions";
-/// `Registry` counter: dedup-store claims received.
-pub const CLAIMS: &str = "fabric.claims";
-/// `Registry` counter: dedup-store claims that were first for their
-/// signature.
-pub const CLAIMS_FIRST: &str = "fabric.claims_first";
 
 /// The coordinator's scheduling counters, accumulated over its
 /// lifetime (all campaigns).
@@ -49,10 +44,6 @@ pub struct FabricCounters {
     pub completions: u64,
     /// Batch completions ignored as duplicates.
     pub duplicate_completions: u64,
-    /// Dedup-store claims received.
-    pub claims: u64,
-    /// Dedup-store claims that were first for their signature.
-    pub claims_first: u64,
 }
 
 impl FabricCounters {
@@ -64,8 +55,6 @@ impl FabricCounters {
         reg.add(WORKER_SESSIONS, self.worker_sessions);
         reg.add(COMPLETIONS, self.completions);
         reg.add(DUPLICATE_COMPLETIONS, self.duplicate_completions);
-        reg.add(CLAIMS, self.claims);
-        reg.add(CLAIMS_FIRST, self.claims_first);
     }
 }
 
@@ -82,8 +71,6 @@ mod tests {
             worker_sessions: 3,
             completions: 5,
             duplicate_completions: 0,
-            claims: 2,
-            claims_first: 2,
         };
         let mut reg = Registry::new();
         c.publish_into(&mut reg);
@@ -96,7 +83,7 @@ mod tests {
     #[test]
     fn counters_roundtrip_json() {
         let c = FabricCounters {
-            claims: 7,
+            duplicate_completions: 7,
             ..FabricCounters::default()
         };
         let json = serde_json::to_string(&c).unwrap();

@@ -109,7 +109,8 @@ pub enum TraceEvent {
         /// (deduplicated away).
         dedup_hit: bool,
     },
-    /// A new deduplicated finding was recorded (post-triage).
+    /// A finding survived the campaign merge's cross-batch dedup; the
+    /// merge emits one per merged finding, after triaging it.
     Finding {
         /// Campaign iteration.
         iter: usize,
@@ -117,9 +118,11 @@ pub enum TraceEvent {
         indicator: String,
         /// Dedup signature of the finding.
         signature: String,
-        /// Injected defects the triage identified as necessary.
+        /// Injected defects the triage identified as necessary (empty
+        /// when triage is off).
         culprits: Vec<String>,
-        /// Wall time differential triage took, nanoseconds.
+        /// Wall time differential triage took, nanoseconds (0 when
+        /// triage is off).
         triage_ns: u64,
     },
     /// The differential state oracle checked one executed program
@@ -160,6 +163,19 @@ impl TraceEvent {
             TraceEvent::Finding { .. } => "finding",
             TraceEvent::Diff { .. } => "diff",
             TraceEvent::Snapshot { .. } => "snapshot",
+        }
+    }
+
+    /// The campaign iteration the event belongs to.
+    pub fn iter(&self) -> usize {
+        match self {
+            TraceEvent::Gen { iter, .. }
+            | TraceEvent::Verify { iter, .. }
+            | TraceEvent::Exec { iter, .. }
+            | TraceEvent::Oracle { iter, .. }
+            | TraceEvent::Finding { iter, .. }
+            | TraceEvent::Diff { iter, .. }
+            | TraceEvent::Snapshot { iter, .. } => *iter,
         }
     }
 }
