@@ -2,9 +2,8 @@
 //!
 //! Runs the same logical campaign at increasing worker counts and
 //! reports executions per second, speedup over the 1-worker run, and
-//! scaling efficiency (speedup / workers), alongside the work-stealing
-//! scheduler's counters (batches stolen, nanoseconds blocked waiting
-//! for corpus-exchange generations, exchange backlog). Also
+//! scaling efficiency (speedup / workers), alongside the scheduler's
+//! one counter (nanoseconds workers waited for a ready lease). Also
 //! cross-checks that the merged finding set is reproducible at every
 //! worker count: each configuration runs twice and the runs must agree.
 //!
@@ -303,15 +302,9 @@ fn main() {
         }
         let speedup = rate / base_rate;
         let efficiency = speedup / (w as f64 / workers[0] as f64);
-        let stolen = a.registry.counter("campaign.steal_count");
         let lease_wait_ns = a.registry.counter("campaign.lease_wait_ns");
-        let backlog_mean = a
-            .registry
-            .histogram("campaign.exchange_backlog")
-            .filter(|h| !h.is_empty())
-            .map(|h| h.mean());
         eprintln!(
-            "{w} workers: {rate:.0} execs/s  speedup {speedup:.2}x  efficiency {efficiency:.2}  stolen {stolen}  findings {}",
+            "{w} workers: {rate:.0} execs/s  speedup {speedup:.2}x  efficiency {efficiency:.2}  findings {}",
             a.result.findings.len()
         );
         rows.push(vec![
@@ -319,7 +312,6 @@ fn main() {
             format!("{rate:.0}"),
             format!("{speedup:.2}x"),
             format!("{efficiency:.2}"),
-            stolen.to_string(),
             format!("{:.1}ms", lease_wait_ns as f64 / 1e6),
             a.result.findings.len().to_string(),
             a.result.coverage.len().to_string(),
@@ -333,9 +325,7 @@ fn main() {
             "findings": a.result.findings.len(),
             "accepted": a.result.accepted,
             "coverage_points": a.result.coverage.len(),
-            "steal_count": stolen,
             "lease_wait_ns": lease_wait_ns,
-            "exchange_backlog_mean": backlog_mean,
             "reproducible": true,
             "oversubscribed": oversubscribed,
         }));
@@ -350,7 +340,6 @@ fn main() {
                 "Execs/sec",
                 "Speedup",
                 "Efficiency",
-                "Stolen",
                 "Lease wait",
                 "Findings",
                 "Coverage"

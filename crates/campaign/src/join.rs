@@ -9,6 +9,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::thread::ScopedJoinHandle;
 
 /// A joined worker thread had panicked.
 #[derive(Debug)]
@@ -28,28 +29,6 @@ impl fmt::Display for WorkerPanic {
 
 impl std::error::Error for WorkerPanic {}
 
-/// Anything `join_all` can join: plain and scoped handles alike.
-pub trait Joinable {
-    /// The thread's return value.
-    type Output;
-    /// Blocks until the thread finishes; `Err` carries the panic payload.
-    fn join_payload(self) -> Result<Self::Output, Box<dyn Any + Send>>;
-}
-
-impl<T> Joinable for std::thread::JoinHandle<T> {
-    type Output = T;
-    fn join_payload(self) -> Result<T, Box<dyn Any + Send>> {
-        self.join()
-    }
-}
-
-impl<T> Joinable for std::thread::ScopedJoinHandle<'_, T> {
-    type Output = T;
-    fn join_payload(self) -> Result<T, Box<dyn Any + Send>> {
-        self.join()
-    }
-}
-
 fn payload_text(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -63,13 +42,13 @@ fn payload_text(payload: &(dyn Any + Send)) -> String {
 /// Joins every handle in order and collects the results. If any worker
 /// panicked, returns the *first* panic (by join order) — but only after
 /// all handles have been joined, so no thread outlives the call.
-pub fn join_all<H: Joinable>(
-    handles: impl IntoIterator<Item = H>,
-) -> Result<Vec<H::Output>, WorkerPanic> {
+pub fn join_all<'scope, T>(
+    handles: impl IntoIterator<Item = ScopedJoinHandle<'scope, T>>,
+) -> Result<Vec<T>, WorkerPanic> {
     let mut out = Vec::new();
     let mut first: Option<WorkerPanic> = None;
     for (worker, h) in handles.into_iter().enumerate() {
-        match h.join_payload() {
+        match h.join() {
             Ok(v) => out.push(v),
             Err(payload) => {
                 if first.is_none() {
@@ -90,26 +69,28 @@ pub fn join_all<H: Joinable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn collects_results_in_join_order() {
-        let handles: Vec<_> = (0..4).map(|i| std::thread::spawn(move || i * 10)).collect();
-        assert_eq!(join_all(handles).unwrap(), vec![0, 10, 20, 30]);
+        let got = std::thread::scope(|s| join_all((0..4).map(|i| s.spawn(move || i * 10))));
+        assert_eq!(got.unwrap(), vec![0, 10, 20, 30]);
     }
 
     #[test]
     fn identifies_the_panicking_worker() {
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                std::thread::spawn(move || {
+        let err = std::thread::scope(|s| {
+            join_all((0..3).map(|i| {
+                s.spawn(move || {
                     if i == 1 {
                         panic!("worker {i} exploded");
                     }
                     i
                 })
-            })
-            .collect();
-        let err = join_all(handles).unwrap_err();
+            }))
+        })
+        .unwrap_err();
         assert_eq!(err.worker, 1);
         assert!(err.message.contains("worker 1 exploded"), "{}", err.message);
         assert!(err.to_string().starts_with("worker 1 panicked:"));
@@ -118,23 +99,33 @@ mod tests {
     #[test]
     fn joins_all_handles_even_after_a_panic() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let finished = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let finished = Arc::clone(&finished);
-                std::thread::spawn(move || {
-                    if i == 0 {
-                        panic!("first worker dies");
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    finished.fetch_add(1, Ordering::SeqCst);
+        let finished = AtomicUsize::new(0);
+        // All four start together and the siblings sleep before counting,
+        // so they are still running when the first worker has died and
+        // been joined: a `join_all` that returned at that first panic
+        // would read fewer than three. The sleep is long because a
+        // process's first panic can take tens of milliseconds to unwind.
+        let started = Barrier::new(4);
+        let (err, joined) = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|i| {
+                    let (finished, started) = (&finished, &started);
+                    s.spawn(move || {
+                        started.wait();
+                        if i == 0 {
+                            panic!("first worker dies");
+                        }
+                        std::thread::sleep(Duration::from_millis(200));
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    })
                 })
-            })
-            .collect();
-        let err = join_all(handles).unwrap_err();
+                .collect();
+            let err = join_all(handles).unwrap_err();
+            // Read before the scope's own implicit join.
+            (err, finished.load(Ordering::SeqCst))
+        });
         assert_eq!(err.worker, 0);
         // The slow siblings were all joined before the error surfaced.
-        assert_eq!(finished.load(Ordering::SeqCst), 3);
+        assert_eq!(joined, 3);
     }
 }

@@ -1,92 +1,80 @@
-//! The work-stealing parallel campaign scheduler.
+//! The threaded campaign runner.
 //!
-//! [`run_sharded`] carves the campaign into lease batches
-//! ([`bvf::fuzz::batch_count`]) and deals them round-robin into one
-//! FIFO queue per worker thread (batch `b` lands in queue `b % N`, so
-//! each queue is ascending). A worker pops its own queue from the
-//! front; when its queue drains it **steals from the tail** of a peer's
-//! queue instead of idling. Because an iteration's RNG stream is keyed
-//! by its batch id ([`bvf::fuzz::stream_seed`]) and its corpus seed
-//! view is a pure function of ledger contents ([`crate::exchange`]),
-//! *which* worker runs a batch — and in what steal order — never shows
-//! in the merged result: [`bvf::fuzz::merge_batches`] folds outputs in
-//! batch order and triages the surviving findings after the workers
+//! [`run_sharded`] runs N scoped worker threads over one
+//! `Mutex<`[`Schedule`]`>` and one condvar. A worker leases the lowest
+//! pending batch once its seed generations have published, runs it on
+//! its own [`CampaignWorker`] and scratch arena, and completes it back
+//! into the schedule; it waits only while no pending batch is ready,
+//! which by the schedule's liveness argument means a batch is in flight
+//! and will wake it. Because an iteration's RNG stream is keyed by its
+//! batch id ([`bvf::fuzz::stream_seed`]) and its seed view is a pure
+//! function of ledger contents, *which* worker runs a batch never shows
+//! in the merged result: [`bvf::fuzz::merge_batches`] folds the outputs
+//! in batch order and triages the surviving findings after the workers
 //! join.
 //!
-//! Liveness under stealing: let `m` be the smallest unpublished batch.
-//! Every batch `m` consumes has a smaller id, so `m` is always ready.
-//! If `m` is still queued, its queue's owner cannot be blocked on a
-//! smaller batch (front-pop order) nor have exited (non-empty queue),
-//! so `m` gets claimed; if `m` is claimed, its holder is not blocked
-//! (ready) and will publish it. Either way the frontier advances, so a
-//! worker blocked in `seed_for` always gets woken.
+//! A worker that panics while holding a lease returns the batch to the
+//! schedule and wakes the waiters, so every worker that leases it meets
+//! the same panic and [`run_sharded`] reports it instead of hanging.
 
-use std::collections::VecDeque;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use bvf::corpus::CorpusSnapshot;
-use bvf::fuzz::{batch_count, merge_batches, BatchOutput, CampaignConfig, CampaignWorker};
+use bvf::fuzz::{
+    batch_count, merge_batches, BatchOutput, BatchSeed, CampaignConfig, CampaignWorker, Schedule,
+};
 use bvf_runtime::ExecScratch;
 use bvf_telemetry::profile::elapsed_ns;
 use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceEvent, TraceSink};
 
-use crate::exchange::ExchangeHub;
 use crate::merge::{interleave_traces, merge_registries};
-use crate::progress::SharedProgress;
 
-/// Parallelism knobs for one work-stealing campaign. The corpus
-/// exchange cadence lives in [`CampaignConfig`] (`batch_len`,
-/// `exchange_every`, `exchange_batch`) because it defines the *logical*
-/// campaign — results must not depend on the worker count.
+/// Parallelism knobs for one threaded campaign. The corpus exchange
+/// cadence lives in [`CampaignConfig`] (`batch_len`, `exchange_every`,
+/// `exchange_batch`) because it defines the *logical* campaign —
+/// results must not depend on the worker count.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
     /// Worker thread count (clamped to at least 1).
     pub workers: usize,
-    /// Live progress cadence in completed global iterations (0 =
-    /// silent); output goes through one shared writer, never torn.
+    /// Progress-line cadence in completed iterations (0 = silent),
+    /// printed from the schedule's totals.
     pub stats_every: usize,
     /// Collect per-worker JSONL traces and interleave them into
     /// [`ParallelOutcome::trace`].
     pub trace: bool,
     /// Deterministic schedule jitter: when non-zero, each worker sleeps
     /// a few hundred microseconds (hashed from `chaos`, the batch id,
-    /// and the worker id) before running a claimed batch. This perturbs
+    /// and the worker id) before running a leased batch. This perturbs
     /// *which* worker runs *which* batch without touching any campaign
-    /// input — the determinism tests use it to exercise many steal
+    /// input — the determinism tests use it to exercise many
     /// interleavings and assert the merged result never moves.
     pub chaos: u64,
-    /// Build a [`CorpusSnapshot`] of every batch's published delta into
-    /// [`ParallelOutcome::snapshot`] (`bvf corpus export`).
-    pub snapshot: bool,
 }
 
 impl ParallelConfig {
     /// Defaults for `workers` threads: no live stats, no trace, no
-    /// jitter, no snapshot.
+    /// jitter.
     pub fn new(workers: usize) -> ParallelConfig {
         ParallelConfig {
             workers,
             stats_every: 0,
             trace: false,
             chaos: 0,
-            snapshot: false,
         }
     }
 }
 
-/// Per-worker observability summary (wall time and steal counts are
+/// Per-worker observability summary (wall time and batch placement are
 /// observational and vary run to run; the merged result never does).
 #[derive(Debug, Clone)]
 pub struct WorkerSummary {
     /// Worker thread id.
     pub worker: usize,
-    /// Lease batches this worker ran (own + stolen).
+    /// Lease batches this worker ran.
     pub batches: usize,
-    /// How many of those were stolen from a peer's queue tail.
-    pub stolen: usize,
     /// Iterations executed.
     pub iterations: usize,
     /// Programs the verifier accepted on this worker.
@@ -97,28 +85,26 @@ pub struct WorkerSummary {
     pub wall_ns: u64,
 }
 
-/// Everything one work-stealing campaign produces.
+/// Everything one threaded campaign produces.
 pub struct ParallelOutcome {
     /// The merged campaign result — a pure function of the
     /// [`CampaignConfig`], identical at any worker count and under any
-    /// steal interleaving.
+    /// interleaving.
     pub result: bvf::fuzz::CampaignResult,
     /// Merged metrics across all workers (folded in worker-id order),
     /// with campaign-level gauges (`coverage_points`, `corpus_len`,
     /// `campaign.workers`, `campaign.batches`) reflecting the merged
-    /// truth, the scheduler counters `campaign.steal_count`,
-    /// `campaign.lease_wait_ns`, and `campaign.exchange_backlog`, and
-    /// what the merge records (`merge.cross_batch_dupes`,
-    /// `oracle.triage_ns`).
+    /// truth, the scheduler counter `campaign.lease_wait_ns`, and what
+    /// the merge records (`merge.cross_batch_dupes`, `oracle.triage_ns`).
     pub registry: Registry,
     /// Worker-tagged trace, interleaved by `(iter, worker)`; `Some`
     /// only when [`ParallelConfig::trace`] was set.
     pub trace: Option<Vec<u8>>,
     /// Per-worker summaries, in worker-id order.
     pub workers: Vec<WorkerSummary>,
-    /// Versioned on-disk corpus snapshot; `Some` only when
-    /// [`ParallelConfig::snapshot`] was set.
-    pub snapshot: Option<CorpusSnapshot>,
+    /// Every batch's output, in batch order (for
+    /// [`bvf::corpus::CorpusSnapshot::from_outputs`]).
+    pub outputs: Vec<BatchOutput>,
     /// Campaign wall time, nanoseconds (observational).
     pub wall_ns: u64,
 }
@@ -160,41 +146,88 @@ impl TraceSink for BatchOwnerSink {
     }
 }
 
+/// The schedule every worker thread leases from, and the condvar a
+/// worker waits on while no pending batch is ready.
+struct Shared {
+    schedule: Mutex<Schedule>,
+    ready: Condvar,
+}
+
+/// A batch leased from the shared schedule. Dropping it uncompleted —
+/// its worker is unwinding — requeues the batch and wakes the waiters:
+/// otherwise its generation would never publish and every worker
+/// waiting on it would hang.
+struct Lease<'a> {
+    shared: &'a Shared,
+    batch: usize,
+    completed: bool,
+}
+
+impl<'a> Lease<'a> {
+    /// Blocks until the lowest pending batch is ready, then leases it
+    /// with its seed view, adding the wait to `campaign.lease_wait_ns`.
+    /// `None` once no batch is left to lease.
+    fn next(shared: &'a Shared, registry: &mut Registry) -> Option<(Lease<'a>, BatchSeed)> {
+        let mut schedule = shared.schedule.lock().expect("schedule poisoned");
+        let t0 = Instant::now();
+        let batch = loop {
+            if let Some(b) = schedule.lease() {
+                break b;
+            }
+            if !schedule.has_pending() {
+                return None;
+            }
+            schedule = shared.ready.wait(schedule).expect("schedule poisoned");
+        };
+        registry.add("campaign.lease_wait_ns", elapsed_ns(t0));
+        let seed = schedule.seed_for(batch);
+        let lease = Lease {
+            shared,
+            batch,
+            completed: false,
+        };
+        Some((lease, seed))
+    }
+
+    /// Completes the batch into the schedule and wakes the waiters.
+    fn complete(mut self, out: BatchOutput) {
+        self.shared
+            .schedule
+            .lock()
+            .expect("schedule poisoned")
+            .complete(out);
+        self.completed = true;
+        self.shared.ready.notify_all();
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        if self.completed {
+            return;
+        }
+        // A poisoned lock fails every waiter's `wait` anyway.
+        if let Ok(mut schedule) = self.shared.schedule.lock() {
+            schedule.requeue(self.batch);
+        }
+        self.shared.ready.notify_all();
+    }
+}
+
 struct WorkerRun {
     worker: usize,
-    stolen: usize,
-    outputs: Vec<BatchOutput>,
+    /// Batch ids this worker completed.
+    batches: Vec<usize>,
+    iterations: usize,
+    accepted: usize,
+    findings: usize,
     registry: Registry,
     wall_ns: u64,
 }
 
-/// Pops the next lease: the front of the worker's own (ascending)
-/// queue, else the **tail** of the first non-empty peer queue. Returns
-/// the batch and whether it was stolen. Stealing from the tail takes
-/// the victim's *latest* batch — the one whose seed generations are
-/// furthest from ready — leaving the victim its cheap, ready front
-/// work; the module docs argue why this cannot deadlock.
-fn next_lease(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<(usize, bool)> {
-    if let Some(b) = queues[w].lock().expect("lease queue poisoned").pop_front() {
-        return Some((b, false));
-    }
-    let n = queues.len();
-    for d in 1..n {
-        let peer = (w + d) % n;
-        if let Some(b) = queues[peer]
-            .lock()
-            .expect("lease queue poisoned")
-            .pop_back()
-        {
-            return Some((b, true));
-        }
-    }
-    None
-}
-
-/// Runs one campaign across `pcfg.workers` work-stealing threads and
-/// merges the batch outputs into one result. See the crate docs for the
-/// determinism guarantees.
+/// Runs one campaign across `pcfg.workers` threads over one shared
+/// [`Schedule`] and merges the batch outputs into one result. See the
+/// crate docs for the determinism guarantees.
 pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutcome {
     let workers = pcfg.workers.max(1);
     let t0 = Instant::now();
@@ -210,59 +243,48 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
                 .with_epoch(trace_epoch)
         })
     };
-    let hub = ExchangeHub::new(cfg);
-    let progress = (pcfg.stats_every > 0)
-        .then(|| SharedProgress::new(cfg.iterations, pcfg.stats_every, workers));
-
-    // Deal batches round-robin: queue w holds w, w+N, w+2N, ... in
-    // ascending (front-to-back) order.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..batches).step_by(workers.max(1)).collect()))
-        .collect();
+    let shared = Shared {
+        schedule: Mutex::new(Schedule::new(cfg, pcfg.stats_every)),
+        ready: Condvar::new(),
+    };
 
     let mut runs: Vec<WorkerRun> = std::thread::scope(|s| {
-        let hub = &hub;
-        let queues = &queues;
-        let progress = progress.as_ref();
+        let shared = &shared;
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let cfg = cfg.clone();
                 let chaos = pcfg.chaos;
                 let sink = sink_for(w);
-                s.spawn(move || run_worker(cfg, w, chaos, queues, hub, progress, sink))
+                s.spawn(move || run_worker(cfg, w, chaos, shared, sink))
             })
             .collect();
         crate::join::join_all(handles)
     })
     .unwrap_or_else(|e| panic!("campaign {e}"));
     runs.sort_by_key(|r| r.worker);
+    let outputs = shared
+        .schedule
+        .into_inner()
+        .expect("schedule poisoned")
+        .take_outputs()
+        .expect("the workers complete every batch");
 
-    if let Some(p) = &progress {
-        p.finish();
-    }
-
-    let summaries: Vec<WorkerSummary> = runs
-        .iter()
-        .map(|r| WorkerSummary {
-            worker: r.worker,
-            batches: r.outputs.len(),
-            stolen: r.stolen,
-            iterations: r.outputs.iter().map(|o| o.iterations).sum(),
-            accepted: r.outputs.iter().map(|o| o.accepted).sum(),
-            findings: r.outputs.iter().map(|o| o.findings.len()).sum(),
-            wall_ns: r.wall_ns,
-        })
-        .collect();
-
-    let mut registries = Vec::with_capacity(runs.len());
-    let mut outputs = Vec::with_capacity(batches);
     let mut owner = vec![0; batches];
+    let mut summaries = Vec::with_capacity(runs.len());
+    let mut registries = Vec::with_capacity(runs.len());
     for r in runs {
-        registries.push(r.registry);
-        for o in &r.outputs {
-            owner[o.batch] = r.worker;
+        for &b in &r.batches {
+            owner[b] = r.worker;
         }
-        outputs.extend(r.outputs);
+        summaries.push(WorkerSummary {
+            worker: r.worker,
+            batches: r.batches.len(),
+            iterations: r.iterations,
+            accepted: r.accepted,
+            findings: r.findings,
+            wall_ns: r.wall_ns,
+        });
+        registries.push(r.registry);
     }
 
     let sink: Box<dyn TraceSink> = if pcfg.trace {
@@ -285,9 +307,6 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
     registry.set_gauge("campaign.workers", workers as i64);
     registry.set_gauge("campaign.batches", batches as i64);
 
-    let snapshot = pcfg
-        .snapshot
-        .then(|| CorpusSnapshot::from_outputs(cfg, &outputs, &result.findings));
     let trace = pcfg.trace.then(|| {
         interleave_traces(
             bufs.iter()
@@ -302,7 +321,7 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
         registry,
         trace,
         workers: summaries,
-        snapshot,
+        outputs,
         wall_ns: elapsed_ns(t0),
     }
 }
@@ -319,9 +338,7 @@ fn run_worker(
     cfg: CampaignConfig,
     w: usize,
     chaos: u64,
-    queues: &[Mutex<VecDeque<usize>>],
-    hub: &ExchangeHub,
-    progress: Option<&SharedProgress>,
+    shared: &Shared,
     trace: Option<JsonlSink<SharedBuf>>,
 ) -> WorkerRun {
     let t0 = Instant::now();
@@ -331,78 +348,44 @@ fn run_worker(
     };
     let mut tel = Telemetry::new(sink);
     let mut scratch = ExecScratch::new();
-    let mut outputs = Vec::new();
-    let mut stolen = 0usize;
+    let mut run = WorkerRun {
+        worker: w,
+        batches: Vec::new(),
+        iterations: 0,
+        accepted: 0,
+        findings: 0,
+        registry: Registry::new(),
+        wall_ns: 0,
+    };
 
-    while let Some((batch, was_steal)) = next_lease(queues, w) {
-        if was_steal {
-            stolen += 1;
-            tel.registry.inc("campaign.steal_count");
-        }
+    while let Some((lease, seed)) = Lease::next(shared, &mut tel.registry) {
         if chaos != 0 {
             std::thread::sleep(std::time::Duration::from_micros(chaos_jitter_us(
-                chaos, batch, w,
+                chaos,
+                lease.batch,
+                w,
             )));
         }
-        let (seed, stats) = hub.seed_for(batch);
-        tel.registry.add("campaign.lease_wait_ns", stats.wait_ns);
-        tel.registry
-            .record("campaign.exchange_backlog", stats.backlog);
-
-        let mut worker = CampaignWorker::lease(cfg.clone(), batch, seed);
-        // Previous-tick snapshot for progress deltas; corpus/coverage
-        // start at the seed view, so only batch-local growth is folded.
-        let (mut p_acc, mut p_find) = (0usize, 0usize);
-        let (mut p_corp, mut p_cov) = (worker.corpus_size(), worker.coverage_points());
-        while worker.step(&mut tel, &mut scratch) {
-            if let Some(p) = progress {
-                let (acc, find, corp, cov) = (
-                    worker.accepted(),
-                    worker.findings_count(),
-                    worker.corpus_size(),
-                    worker.coverage_points(),
-                );
-                p.tick(acc - p_acc, find - p_find, corp - p_corp, cov - p_cov);
-                (p_acc, p_find, p_corp, p_cov) = (acc, find, corp, cov);
-            }
-        }
+        let mut worker = CampaignWorker::lease(cfg.clone(), lease.batch, seed);
+        while worker.step(&mut tel, &mut scratch) {}
         let out = worker.into_output();
-        hub.publish(batch, out.ledger_entry());
-        outputs.push(out);
+        run.batches.push(out.batch);
+        run.iterations += out.iterations;
+        run.accepted += out.accepted;
+        run.findings += out.findings.len();
+        lease.complete(out);
     }
 
     tel.finish();
-    WorkerRun {
-        worker: w,
-        stolen,
-        outputs,
-        registry: std::mem::take(&mut tel.registry),
-        wall_ns: elapsed_ns(t0),
-    }
+    run.registry = std::mem::take(&mut tel.registry);
+    run.wall_ns = elapsed_ns(t0);
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lease_queues_deal_round_robin_and_steal_from_tail() {
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..2)
-            .map(|w| Mutex::new((w..7).step_by(2).collect()))
-            .collect();
-        // Worker 0 owns 0,2,4,6; worker 1 owns 1,3,5.
-        assert_eq!(next_lease(&queues, 0), Some((0, false)));
-        assert_eq!(next_lease(&queues, 1), Some((1, false)));
-        // Drain worker 1's own queue, then it steals worker 0's *tail*.
-        assert_eq!(next_lease(&queues, 1), Some((3, false)));
-        assert_eq!(next_lease(&queues, 1), Some((5, false)));
-        assert_eq!(next_lease(&queues, 1), Some((6, true)));
-        assert_eq!(next_lease(&queues, 1), Some((4, true)));
-        // Worker 0 still pops its own front first.
-        assert_eq!(next_lease(&queues, 0), Some((2, false)));
-        assert_eq!(next_lease(&queues, 0), None);
-        assert_eq!(next_lease(&queues, 1), None);
-    }
+    use bvf::baseline::GeneratorKind;
 
     #[test]
     fn chaos_jitter_is_deterministic_and_bounded() {
@@ -415,5 +398,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_lease_holder_requeues_its_batch() {
+        let cfg = CampaignConfig::new(GeneratorKind::Bvf, 256, 1);
+        let shared = Shared {
+            schedule: Mutex::new(Schedule::new(&cfg, 0)),
+            ready: Condvar::new(),
+        };
+        let err = std::thread::scope(|s| {
+            let h = s.spawn(|| {
+                let (lease, _) = Lease::next(&shared, &mut Registry::new()).expect("batch 0");
+                assert_eq!(lease.batch, 0);
+                panic!("batch {} exploded", lease.batch);
+            });
+            crate::join::join_all([h]).unwrap_err()
+        });
+        assert!(err.message.contains("batch 0 exploded"), "{err}");
+        let mut schedule = shared.schedule.lock().expect("the lock was not held");
+        assert_eq!(schedule.lease(), Some(0), "the batch is leasable again");
     }
 }

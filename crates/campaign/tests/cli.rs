@@ -225,3 +225,106 @@ fn serve_names_an_unusable_state_dir() {
     );
     assert!(!stderr.contains("cannot bind"), "{stderr}");
 }
+
+/// The value after `label ` in `line`, e.g. `cov 666` → 666.
+fn field(line: &str, label: &str) -> usize {
+    let mut words = line.split_whitespace();
+    words.find(|w| *w == label);
+    let value = words
+        .next()
+        .unwrap_or_else(|| panic!("no {label} in {line:?}"));
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("{label} {value:?} in {line:?}"))
+}
+
+#[test]
+fn final_progress_line_prints_the_campaign_totals() {
+    // The 1-worker meter once summed per-batch finding counts and
+    // printed the running batch's mutation pool as the corpus; the
+    // multi-worker one summed per-batch coverage and corpus growth.
+    for workers in ["1", "2"] {
+        let args = [
+            "fuzz",
+            "--iters",
+            "600",
+            "--seed",
+            "11",
+            "--stats-every",
+            "200",
+            "--workers",
+            workers,
+        ];
+        let out = bvf(&args);
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        let last = stderr
+            .lines()
+            .find(|l| l.starts_with("[100%]"))
+            .unwrap_or_else(|| panic!("{args:?}: no final progress line in {stderr}"));
+        let summary = stdout
+            .lines()
+            .find(|l| l.starts_with("iterations "))
+            .expect("summary line");
+        let findings = stdout.matches("\nfinding at iteration").count();
+        assert!(findings > 0, "{args:?}: the campaign must find something");
+        assert_eq!(field(last, "cov"), field(summary, "coverage"), "{args:?}");
+        assert_eq!(field(last, "findings"), findings, "{args:?}");
+        assert_eq!(field(last, "corpus"), field(summary, "corpus"), "{args:?}");
+    }
+}
+
+#[test]
+fn corpus_out_leaves_a_one_worker_trace_unchanged() {
+    // `--corpus-out` once moved a 1-worker run onto the thread pool,
+    // which tagged every trace line with `"worker":0`.
+    let dir = std::env::temp_dir().join(format!("bvf-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+    let trace = |extra: &[&str], name: &str| {
+        let file = path(name);
+        let mut args = vec![
+            "fuzz",
+            "--iters",
+            "200",
+            "--seed",
+            "3",
+            "--trace-out",
+            &file,
+        ];
+        args.extend(extra);
+        let out = bvf(&args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&file).expect("trace written");
+        text.lines()
+            .map(|l| {
+                let mut v: serde_json::Value = serde_json::from_str(l).expect("JSONL");
+                let serde_json::Value::Object(event) = &mut v else {
+                    panic!("not an event object: {l}");
+                };
+                for timing in ["t_ns", "do_check_ns", "total_ns", "triage_ns"] {
+                    event.remove(timing);
+                }
+                v
+            })
+            .collect::<Vec<_>>()
+    };
+    let plain = trace(&[], "plain.jsonl");
+    let snap = path("snap.json");
+    let with_snapshot = trace(&["--corpus-out", &snap], "snap.jsonl");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!plain.is_empty());
+    assert_eq!(plain, with_snapshot);
+}

@@ -10,8 +10,9 @@ use std::path::PathBuf;
 
 use bvf::baseline::GeneratorKind;
 use bvf::corpus::{CorpusSnapshot, SnapshotFinding, CORPUS_FORMAT, CORPUS_FORMAT_VERSION};
-use bvf::fuzz::CampaignConfig;
+use bvf::fuzz::{run_serial, CampaignConfig};
 use bvf_campaign::{run_sharded, ParallelConfig};
+use bvf_telemetry::Telemetry;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/corpus_snapshot_v1.json")
@@ -34,11 +35,9 @@ fn export(cfg: &CampaignConfig, workers: usize) -> CorpusSnapshot {
 
 fn export_with_chaos(cfg: &CampaignConfig, workers: usize, chaos: u64) -> CorpusSnapshot {
     let mut pcfg = ParallelConfig::new(workers);
-    pcfg.snapshot = true;
     pcfg.chaos = chaos;
-    run_sharded(cfg, &pcfg)
-        .snapshot
-        .expect("snapshot requested")
+    let outcome = run_sharded(cfg, &pcfg);
+    CorpusSnapshot::from_outputs(cfg, &outcome.outputs, &outcome.result.findings)
 }
 
 #[test]
@@ -76,10 +75,8 @@ fn triaged_snapshots_are_worker_count_invariant() {
     // worker ran which batch, and when, cannot show in the file.
     let cfg = CampaignConfig::new(GeneratorKind::Bvf, 500, 7);
     assert!(cfg.triage);
-    let mut pcfg = ParallelConfig::new(1);
-    pcfg.snapshot = true;
-    let one = run_sharded(&cfg, &pcfg);
-    let snap = one.snapshot.expect("snapshot requested");
+    let (one, outputs) = run_serial(&cfg, &mut Telemetry::null(), 0);
+    let snap = CorpusSnapshot::from_outputs(&cfg, &outputs, &one.findings);
     for workers in [2usize, 4] {
         for chaos in 1..=4u64 {
             assert!(
@@ -91,10 +88,10 @@ fn triaged_snapshots_are_worker_count_invariant() {
 
     let records: Vec<&SnapshotFinding> = snap.batches.iter().flat_map(|b| &b.findings).collect();
     assert!(
-        records.len() > one.result.findings.len(),
+        records.len() > one.findings.len(),
         "some signature must recur across batches"
     );
-    for f in &one.result.findings {
+    for f in &one.findings {
         let carrying: Vec<&&SnapshotFinding> = records
             .iter()
             .filter(|r| r.signature == f.signature && !r.culprits.is_empty())

@@ -1,6 +1,6 @@
 //! The scheduler's central guarantee, as tests: the merged
 //! [`CampaignResult`] is a pure function of the [`CampaignConfig`] —
-//! **worker count, steal schedule, and finish order are not inputs**.
+//! **worker count, lease interleaving, and finish order are not inputs**.
 //!
 //! Campaign iterations are carved into lease batches whose RNG streams
 //! depend only on the batch id (`bvf::fuzz::stream_seed`), seed views
@@ -8,7 +8,8 @@
 //! the merge folds batch outputs in batch order. So `--workers 4` must
 //! reproduce `--workers 1` exactly — every field, floating-point means
 //! bit for bit — and a chaos-jittered run (deterministic per-batch
-//! sleeps that reshuffle stealing) must reproduce an un-jittered one.
+//! sleeps that reshuffle which worker leases which batch) must
+//! reproduce an un-jittered one.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -96,7 +97,7 @@ fn one_worker_matches_legacy_serial_path() {
 
 #[test]
 fn every_worker_count_matches_one_worker() {
-    // The acceptance bar of the work-stealing redesign: merged results
+    // The acceptance bar of the parallel runner: merged results
     // are bit-identical to `--workers 1` at any worker count, findings
     // and corpus included.
     let cfg = config(600, 97);
@@ -125,8 +126,8 @@ fn campaigns_are_deterministic_run_to_run() {
 #[test]
 fn chaos_jitter_cannot_change_the_result() {
     // Chaos mode injects deterministic per-(batch, worker) sleeps
-    // before each claimed batch, perturbing which batches get stolen
-    // and in what order workers finish. None of that is a campaign
+    // before each leased batch, perturbing which worker leases which
+    // batch and in what order workers finish. None of that is a campaign
     // input, so the merged result must not move.
     let cfg = config(500, 7);
     let calm = run_sharded(&cfg, &ParallelConfig::new(3)).result;
@@ -147,10 +148,6 @@ fn worker_summaries_partition_the_campaign() {
     assert_eq!(iters, cfg.iterations, "iterations partition exactly");
     let batches: usize = outcome.workers.iter().map(|w| w.batches).sum();
     assert_eq!(batches, batch_count(&cfg), "batches partition exactly");
-    // A worker can only steal batches it actually ran.
-    for w in &outcome.workers {
-        assert!(w.stolen <= w.batches, "stole more than it ran");
-    }
     let accepted: usize = outcome.workers.iter().map(|w| w.accepted).sum();
     assert_eq!(accepted, outcome.result.accepted);
 }
@@ -396,7 +393,7 @@ fn both_oracles_merge_identically_at_one_and_two_workers() {
 }
 
 /// The property-test campaign: small (the vendored proptest runs a
-/// fixed 192 cases) but multi-generation, so stealing, exchange lag,
+/// fixed 192 cases) but multi-generation, so lease waits, exchange lag,
 /// and merge all engage.
 fn property_config() -> CampaignConfig {
     CampaignConfig {
@@ -415,7 +412,7 @@ fn property_reference() -> &'static CampaignResult {
 
 proptest! {
     /// Satellite property: for *any* worker count and *any* chaos seed
-    /// — i.e. any steal schedule and any finish order — the merged
+    /// — i.e. any lease interleaving and any finish order — the merged
     /// result equals the serial reference.
     #[test]
     fn merge_is_schedule_independent(workers in 1usize..=4, chaos in any::<u64>()) {

@@ -65,16 +65,18 @@
 //! suggested), a flag missing its value, a repeated flag or a stray
 //! argument exits 2 before anything runs. `--help` prints the usage.
 //!
-//! `--workers N` runs the campaign's lease batches across N
-//! work-stealing threads (0 = one per available CPU) with merged
-//! results bit-identical to `--workers 1` on the same seed; `--chaos S`
-//! adds deterministic per-batch scheduling jitter (for shaking out
-//! schedule dependence — results must not change). `--batch-len`,
-//! `--exchange-every` and `--exchange-batch` set the lease-batch
-//! geometry and corpus-exchange cadence; they are campaign inputs, so
-//! changing them changes the result (worker count never does). With
-//! multiple workers the trace is worker-tagged and interleaved by
-//! iteration, and progress lines go through one shared writer.
+//! `--workers N` runs the campaign's lease batches across N threads
+//! over one lease schedule (0 = one per available CPU) with merged
+//! results bit-identical to `--workers 1` on the same seed; one worker
+//! runs the serial loop on the main thread. `--chaos S` adds
+//! deterministic per-batch scheduling jitter to a multi-worker run (for
+//! shaking out schedule dependence — results must not change).
+//! `--batch-len`, `--exchange-every` and `--exchange-batch` set the
+//! lease-batch geometry and corpus-exchange cadence; they are campaign
+//! inputs, so changing them changes the result (worker count never
+//! does). With multiple workers the trace is worker-tagged and
+//! interleaved by iteration. Progress lines print the schedule's
+//! totals over completed batches, in one format at any worker count.
 //!
 //! `bvf serve` starts the distributed campaign-fabric coordinator
 //! (`bvf-fabric`): workers attach with `bvf worker --connect`, clients
@@ -109,9 +111,7 @@ use std::time::Duration;
 use bvf::baseline::GeneratorKind;
 use bvf::cli::{bare, levenshtein, val, Args, Command, Flag};
 use bvf::corpus::CorpusSnapshot;
-use bvf::fuzz::{
-    report_signature, run_campaign_with_telemetry, CampaignConfig, CampaignResult, FindingRecord,
-};
+use bvf::fuzz::{report_signature, run_serial, CampaignConfig, FindingRecord};
 use bvf::minimize::minimize;
 use bvf::oracle::{judge, triage, triage_san_defects};
 use bvf::sanmatrix::run_matrix;
@@ -119,7 +119,7 @@ use bvf::scenario::{run, RunConfig, Sanitation, Scenario};
 use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
-use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceEvent, TraceSink};
+use bvf_telemetry::{JsonlSink, NullSink, Telemetry, TraceEvent, TraceSink};
 use bvf_verifier::KernelVersion;
 
 const USAGE: &str = "usage:\n  \
@@ -460,7 +460,6 @@ fn cmd_fuzz(args: &Args) {
     create_outputs(args);
     let (iters, seed) = (cfg.iterations, cfg.seed);
     let workers = parse_workers(args);
-    let corpus_out = args.opt("--corpus-out");
     let trace_path = args.opt("--trace-out");
     let stats_every: usize = args.parsed("--stats-every").unwrap_or((iters / 100).max(1));
 
@@ -477,14 +476,10 @@ fn cmd_fuzz(args: &Args) {
         }
     );
 
-    // The serial path cannot export a snapshot (it folds batch outputs
-    // as it goes), so `--corpus-out` routes through the scheduler even
-    // at one worker — by design that is bit-identical.
-    let (r, registry): (CampaignResult, Registry) = if workers > 1 || corpus_out.is_some() {
+    let (r, registry, outputs) = if workers > 1 {
         let mut pcfg = ParallelConfig::new(workers);
         pcfg.stats_every = stats_every;
         pcfg.trace = trace_path.is_some();
-        pcfg.snapshot = corpus_out.is_some();
         if let Some(s) = args.parsed("--chaos") {
             pcfg.chaos = s;
         }
@@ -495,30 +490,18 @@ fn cmd_fuzz(args: &Args) {
                 exit(1);
             });
         }
-        if let (Some(path), Some(snap)) = (corpus_out, &outcome.snapshot) {
-            std::fs::write(path, snap.to_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write corpus snapshot {path}: {e}");
-                exit(1);
-            });
-            eprintln!(
-                "corpus snapshot written to {path} ({} entries, {} coverage points)",
-                snap.corpus_len(),
-                snap.coverage().len()
-            );
-        }
         for w in &outcome.workers {
             eprintln!(
-                "worker {}: batches {} ({} stolen)  iters {}  accepted {}  findings {}  {:.2}s",
+                "worker {}: batches {}  iters {}  accepted {}  findings {}  {:.2}s",
                 w.worker,
                 w.batches,
-                w.stolen,
                 w.iterations,
                 w.accepted,
                 w.findings,
                 w.wall_ns as f64 / 1e9
             );
         }
-        (outcome.result, outcome.registry)
+        (outcome.result, outcome.registry, outcome.outputs)
     } else {
         let sink: Box<dyn TraceSink> = match trace_path {
             Some(path) => {
@@ -530,11 +513,22 @@ fn cmd_fuzz(args: &Args) {
             }
             None => Box::new(NullSink),
         };
-        let mut tel = Telemetry::new(sink).with_progress_every(stats_every);
-        let r = run_campaign_with_telemetry(&cfg, &mut tel);
-        let registry = std::mem::take(&mut tel.registry);
-        (r, registry)
+        let mut tel = Telemetry::new(sink);
+        let (r, outputs) = run_serial(&cfg, &mut tel, stats_every);
+        (r, std::mem::take(&mut tel.registry), outputs)
     };
+    if let Some(path) = args.opt("--corpus-out") {
+        let snap = CorpusSnapshot::from_outputs(&cfg, &outputs, &r.findings);
+        std::fs::write(path, snap.to_json()).unwrap_or_else(|e| {
+            eprintln!("cannot write corpus snapshot {path}: {e}");
+            exit(1);
+        });
+        eprintln!(
+            "corpus snapshot written to {path} ({} entries, {} coverage points)",
+            snap.corpus_len(),
+            snap.coverage().len()
+        );
+    }
     println!(
         "iterations {}  accepted {} ({:.1}%)  coverage {}  corpus {}",
         r.iterations,
@@ -1039,10 +1033,8 @@ fn cmd_corpus_export(args: &Args) {
         exit(2);
     };
     let cfg = campaign_config(args);
-    let mut pcfg = ParallelConfig::new(parse_workers(args));
-    pcfg.snapshot = true;
-    let outcome = run_sharded(&cfg, &pcfg);
-    let snap = outcome.snapshot.expect("snapshot requested");
+    let outcome = run_sharded(&cfg, &ParallelConfig::new(parse_workers(args)));
+    let snap = CorpusSnapshot::from_outputs(&cfg, &outcome.outputs, &outcome.result.findings);
     std::fs::write(out, snap.to_json()).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
         exit(1);

@@ -18,20 +18,26 @@
 //! view is a pure function of the ledger entries of *completed earlier
 //! generations* ([`seed_generations`]), and it reports a self-contained
 //! [`BatchOutput`] whose coverage is a *delta* against that seed view.
-//! Nothing about a batch depends on which worker ran it or when, so any
-//! scheduler — the serial loop here, or the work-stealing orchestrator
-//! in `bvf-campaign` — produces bit-identical merged results.
+//! Nothing about a batch depends on which worker ran it or when, so
+//! every runner produces bit-identical merged results.
 //!
 //! Corpus exchange is asynchronous: a batch in generation `g` consumes
 //! the published entries of generations `[0, g-1)`, so generation `g`
-//! is runnable while `g-1` is still in flight — no epoch barrier. The
-//! serial entry points ([`run_campaign`],
-//! [`run_campaign_with_telemetry`]) run batches in order against a
-//! [`CorpusLedger`] and fold them with [`merge_batches`]; `--workers 1`
-//! bit-identity with any parallel schedule is therefore structural, not
-//! coincidental.
+//! is runnable while `g-1` is still in flight — no epoch barrier.
+//!
+//! # One scheduler
+//!
+//! Every runner leases, completes and requeues batches through one
+//! [`Schedule`]: the serial loop here ([`run_serial`], behind
+//! [`run_campaign`] and [`run_campaign_with_telemetry`]), the threads of
+//! `bvf-campaign`'s `run_sharded`, and the `bvf-fabric` coordinator. The
+//! schedule owns the [`CorpusLedger`] and the running [`Totals`] that
+//! progress lines and fabric status print; the runners differ only in
+//! who executes a leased batch. `--workers 1` bit-identity with any
+//! parallel schedule is therefore structural, not coincidental.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::io::IsTerminal;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -415,7 +421,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// campaign seed. Batch 0 receives the campaign seed itself. Because
 /// the stream is keyed by the *batch*, not the worker, an iteration's
 /// randomness never depends on which worker ran it or in what order
-/// batches were stolen.
+/// batches were leased.
 pub fn stream_seed(campaign_seed: u64, batch: usize) -> u64 {
     if batch == 0 {
         campaign_seed
@@ -525,11 +531,10 @@ fn extend_seed<'a>(
 }
 
 /// The corpus-exchange ledger: one [`LedgerEntry`] slot per lease
-/// batch, plus cached cumulative seed views per generation. The serial
-/// driver owns one directly; the parallel orchestrator wraps one in a
-/// mutex + condvar (`bvf-campaign`'s exchange hub). Seed views are
-/// built once per generation and cloned out, so `seed_for` is cheap on
-/// the hot path.
+/// batch, plus cached cumulative seed views per generation. A
+/// [`Schedule`] owns one per campaign; a fabric worker mirrors one from
+/// the coordinator's streamed deltas. Seed views are built once per
+/// generation and cloned out, so `seed_for` is cheap on the hot path.
 pub struct CorpusLedger {
     gen_batches: usize,
     total_batches: usize,
@@ -578,17 +583,15 @@ impl CorpusLedger {
     }
 
     /// Whether every generation batch `batch` seeds from has fully
-    /// published (i.e. [`CorpusLedger::seed_for`] would not block a
-    /// concurrent scheduler).
+    /// published, so [`CorpusLedger::seed_for`] can build its view.
     pub fn ready_for(&self, cfg: &CampaignConfig, batch: usize) -> bool {
         let k = seed_generations(cfg, batch);
         (0..k).all(|g| self.gen_published[g] == self.gen_size(g))
     }
 
     /// The seed view for batch `batch`. All generations it consumes
-    /// must have fully published (the serial in-order driver guarantees
-    /// this; concurrent schedulers gate on
-    /// [`CorpusLedger::ready_for`]).
+    /// must have fully published ([`CorpusLedger::ready_for`]; a
+    /// [`Schedule`] leases no batch before that).
     pub fn seed_for(&mut self, cfg: &CampaignConfig, batch: usize) -> BatchSeed {
         let k = seed_generations(cfg, batch);
         while self.views.len() <= k {
@@ -646,58 +649,236 @@ fn mutate(rng: &mut StdRng, base: &Scenario) -> Scenario {
     s
 }
 
+/// Running totals over a [`Schedule`]'s completed batches: what
+/// `--stats-every` progress lines and the fabric's campaign status
+/// report. Once every batch has completed, coverage, findings and corpus
+/// equal the merged [`CampaignResult`]'s.
+#[derive(Debug, Default)]
+pub struct Totals {
+    /// Completed batches.
+    pub batches: usize,
+    /// Iterations the completed batches executed.
+    pub iterations: usize,
+    /// Programs they accepted.
+    pub accepted: usize,
+    /// Typed rejection reason → count over them.
+    pub reject_reasons: BTreeMap<String, usize>,
+    /// Union of their coverage deltas.
+    pub coverage: Coverage,
+    /// Distinct finding signatures among them (the merge keeps one
+    /// finding per signature).
+    pub signatures: HashSet<String>,
+    /// Corpus entries they published.
+    pub corpus: usize,
+}
+
+/// The `--stats-every` meter: one stderr line each time the completed
+/// iterations cross a multiple of `every`, and one at the end.
+struct Progress {
+    every: usize,
+    epoch: Instant,
+    is_tty: bool,
+}
+
+impl Progress {
+    fn report(&self, before: usize, t: &Totals, total: usize) {
+        let done = t.iterations;
+        if before / self.every == done / self.every && done != total {
+            return;
+        }
+        let secs = self.epoch.elapsed().as_secs_f64();
+        let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
+        let line = format!(
+            "[{:3.0}%] iter {done}/{total}  acc {:.1}%  cov {}  findings {}  corpus {}  {rate:.0} it/s",
+            100.0 * done as f64 / total.max(1) as f64,
+            100.0 * t.accepted as f64 / done.max(1) as f64,
+            t.coverage.len(),
+            t.signatures.len(),
+            t.corpus,
+        );
+        if !self.is_tty {
+            eprintln!("{line}");
+        } else if done == total {
+            eprintln!("\r\x1b[2K{line}");
+        } else {
+            eprint!("\r\x1b[2K{line}");
+        }
+    }
+}
+
+/// One campaign's lease scheduler, and the only one: the serial loop
+/// ([`run_serial`]), `bvf-campaign`'s threads and the `bvf-fabric`
+/// coordinator all lease, complete and requeue batches through it. It
+/// owns the campaign's [`CorpusLedger`], its pending batches, the
+/// completed outputs and the running [`Totals`].
+///
+/// Policy: lease the lowest pending batch once the generations it seeds
+/// from have published. Readiness is monotone in the batch id, so only
+/// the lowest pending batch needs checking. Liveness: the lowest
+/// unpublished batch is always ready, because every batch it seeds from
+/// has a smaller id; so a runner that finds nothing ready only waits for
+/// a batch already in flight.
+pub struct Schedule {
+    cfg: CampaignConfig,
+    ledger: CorpusLedger,
+    /// Batches neither leased nor completed.
+    pending: BTreeSet<usize>,
+    /// Completed outputs, indexed by batch id.
+    outputs: Vec<Option<BatchOutput>>,
+    /// Whether [`Schedule::take_outputs`] has handed them to the merge.
+    merged: bool,
+    totals: Totals,
+    progress: Option<Progress>,
+}
+
+impl Schedule {
+    /// Every batch of `cfg` pending. With `stats_every > 0`, completions
+    /// print a progress line every `stats_every` iterations.
+    pub fn new(cfg: &CampaignConfig, stats_every: usize) -> Schedule {
+        let batches = batch_count(cfg);
+        Schedule {
+            ledger: CorpusLedger::new(cfg),
+            pending: (0..batches).collect(),
+            outputs: vec![None; batches],
+            merged: false,
+            totals: Totals::default(),
+            progress: (stats_every > 0).then(|| Progress {
+                every: stats_every,
+                epoch: Instant::now(),
+                is_tty: std::io::stderr().is_terminal(),
+            }),
+            cfg: cfg.clone(),
+        }
+    }
+
+    /// Leases the lowest pending batch if the generations it seeds from
+    /// have published. `None` when nothing is pending, or when that batch
+    /// waits for one in flight.
+    pub fn lease(&mut self) -> Option<usize> {
+        let batch = *self.pending.first()?;
+        self.ledger
+            .ready_for(&self.cfg, batch)
+            .then(|| self.pending.pop_first().expect("checked non-empty"))
+    }
+
+    /// Whether any batch waits to be leased.
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// The seed view of a leased batch.
+    pub fn seed_for(&mut self, batch: usize) -> BatchSeed {
+        self.ledger.seed_for(&self.cfg, batch)
+    }
+
+    /// Returns a leased batch that will not complete (a lost fabric
+    /// lease, or a worker that unwound) to the pending set. A batch that
+    /// has completed in the meantime stays complete.
+    pub fn requeue(&mut self, batch: usize) {
+        if !self.merged && self.outputs[batch].is_none() {
+            self.pending.insert(batch);
+        }
+    }
+
+    /// Records a completed batch: publishes its ledger entry, folds it
+    /// into the totals and prints a progress line when one is due.
+    /// Returns `false`, changing nothing, for a batch that has already
+    /// completed or once the outputs have been taken — a re-issued
+    /// lease's duplicate, byte-identical to the kept output.
+    pub fn complete(&mut self, out: BatchOutput) -> bool {
+        let b = out.batch;
+        if self.merged || self.outputs[b].is_some() {
+            return false;
+        }
+        self.pending.remove(&b);
+        self.ledger.publish(b, out.ledger_entry());
+        let t = &mut self.totals;
+        let before = t.iterations;
+        t.batches += 1;
+        t.iterations += out.iterations;
+        t.accepted += out.accepted;
+        for (reason, count) in &out.reject_reasons {
+            *t.reject_reasons.entry(reason.clone()).or_insert(0) += count;
+        }
+        t.coverage.merge(&out.cov_delta);
+        t.signatures
+            .extend(out.findings.iter().map(|f| f.signature.clone()));
+        t.corpus += out.fresh_corpus.len();
+        self.outputs[b] = Some(out);
+        if let Some(p) = &self.progress {
+            p.report(before, &self.totals, self.cfg.iterations);
+        }
+        true
+    }
+
+    /// The running totals over completed batches.
+    pub fn totals(&self) -> &Totals {
+        &self.totals
+    }
+
+    /// Hands every output, in batch order, to the merge once all batches
+    /// have completed. Only once: `None` before then and afterwards.
+    pub fn take_outputs(&mut self) -> Option<Vec<BatchOutput>> {
+        if self.merged || self.totals.batches < self.outputs.len() {
+            return None;
+        }
+        self.merged = true;
+        Some(
+            self.outputs
+                .iter_mut()
+                .map(|o| o.take().expect("every batch completed"))
+                .collect(),
+        )
+    }
+}
+
 /// Runs one fuzzing campaign.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     run_campaign_with_telemetry(cfg, &mut Telemetry::null())
 }
 
-/// Runs one fuzzing campaign, recording metrics, trace events, and live
-/// progress into `tel`.
-///
-/// This is the reference serial schedule: lease batches executed in
-/// order against one [`CorpusLedger`] and one reusable [`ExecScratch`],
-/// then folded by [`merge_batches`]. Any other schedule of the same
-/// batches merges to a bit-identical [`CampaignResult`].
+/// Runs one fuzzing campaign, recording metrics and trace events into
+/// `tel`: [`run_serial`] without progress lines, keeping only the result.
 ///
 /// Telemetry is strictly observational: no campaign decision (corpus
 /// retention, dedup, triage) reads a timestamp or metric back, so the
 /// returned [`CampaignResult`] is bit-identical whatever sink `tel`
 /// carries — `campaigns_are_deterministic` asserts exactly this.
 pub fn run_campaign_with_telemetry(cfg: &CampaignConfig, tel: &mut Telemetry) -> CampaignResult {
-    let mut ledger = CorpusLedger::new(cfg);
+    run_serial(cfg, tel, 0).0
+}
+
+/// The serial runner: one loop over a [`Schedule`] on the caller's
+/// thread, executing each leased batch with one reusable
+/// [`ExecScratch`], then folding the outputs with [`merge_batches`]. Any
+/// other schedule of the same batches merges to a bit-identical
+/// [`CampaignResult`]. Returns the batch outputs too, in batch order,
+/// for corpus snapshots; `stats_every` is the progress-line cadence
+/// (0 prints nothing).
+pub fn run_serial(
+    cfg: &CampaignConfig,
+    tel: &mut Telemetry,
+    stats_every: usize,
+) -> (CampaignResult, Vec<BatchOutput>) {
+    let mut schedule = Schedule::new(cfg, stats_every);
     let mut scratch = ExecScratch::new();
-    let batches = batch_count(cfg);
-    let mut outputs = Vec::with_capacity(batches);
-    let mut cum_accepted = 0usize;
-    let mut cum_findings = 0usize;
-    let mut cov_union = Coverage::new();
-    for b in 0..batches {
-        let seed = ledger.seed_for(cfg, b);
-        let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
-        while w.step(tel, &mut scratch) {
-            tel.progress(
-                w.last_iter(),
-                cfg.iterations,
-                cum_accepted + w.accepted(),
-                cov_union.len().max(w.coverage_points()),
-                cum_findings + w.findings_count(),
-                w.corpus_size(),
-            );
-        }
-        let out = w.into_output();
-        cum_accepted += out.accepted;
-        cum_findings += out.findings.len();
-        cov_union.merge(&out.cov_delta);
-        ledger.publish(b, out.ledger_entry());
-        outputs.push(out);
+    // In batch order every earlier batch has completed, so the lowest
+    // pending batch is always ready.
+    while let Some(b) = schedule.lease() {
+        let mut w = CampaignWorker::lease(cfg.clone(), b, schedule.seed_for(b));
+        while w.step(tel, &mut scratch) {}
+        schedule.complete(w.into_output());
     }
+    let outputs = schedule
+        .take_outputs()
+        .expect("the serial loop completes every batch");
     let result = merge_batches(cfg, &outputs, tel);
     tel.registry
         .set_gauge("corpus_len", result.corpus_len as i64);
     tel.registry
         .set_gauge("coverage_points", result.coverage.len() as i64);
     tel.finish();
-    result
+    (result, outputs)
 }
 
 /// The self-contained result of one lease batch, handed back to the
@@ -861,33 +1042,10 @@ impl CampaignWorker {
         self.len == 0
     }
 
-    /// The global iteration of the most recent [`step`] (the batch
-    /// start if none ran yet).
-    ///
-    /// [`step`]: CampaignWorker::step
-    pub fn last_iter(&self) -> usize {
-        self.start + self.done.saturating_sub(1)
-    }
-
-    /// Programs accepted so far.
-    pub fn accepted(&self) -> usize {
-        self.accepted
-    }
-
     /// Distinct coverage points visible to this batch so far (seed view
     /// plus local delta).
     pub fn coverage_points(&self) -> usize {
         self.seed_cov.len() + self.cov_delta.len()
-    }
-
-    /// Locally deduplicated findings so far.
-    pub fn findings_count(&self) -> usize {
-        self.findings.len()
-    }
-
-    /// Current corpus size (seed view plus local retention).
-    pub fn corpus_size(&self) -> usize {
-        self.corpus.len()
     }
 
     /// Whether this campaign variant retains and mutates a feedback
@@ -1460,6 +1618,137 @@ mod tests {
         assert_eq!(r.corpus_len, serial.corpus_len);
         assert_eq!(r.findings.len(), serial.findings.len());
         assert_eq!(r.found_bugs, serial.found_bugs);
+    }
+
+    /// 8 batches of 16 iterations, 2 batches per exchange generation.
+    fn two_batch_generations() -> CampaignConfig {
+        CampaignConfig {
+            batch_len: 16,
+            exchange_every: 32,
+            ..CampaignConfig::new(GeneratorKind::Bvf, 128, 1)
+        }
+    }
+
+    /// A stand-in output for batch `b`: its full iteration count, one
+    /// acceptance, one coverage point and one finding signature per batch.
+    fn fake_output(cfg: &CampaignConfig, b: usize) -> BatchOutput {
+        let mut out = CampaignWorker::lease(cfg.clone(), b, BatchSeed::default()).into_output();
+        out.iterations = batch_bounds(cfg, b).1;
+        out.accepted = 1;
+        out.cov_delta.insert_point(b as u64);
+        out
+    }
+
+    /// A ledger entry whose one corpus program is `len` slots long, so a
+    /// seed view's corpus order is readable from its program lengths.
+    fn marker_entry(len: usize) -> LedgerEntry {
+        use bvf_kernel_sim::progtype::ProgType;
+        let prog = bvf_isa::Program::from_insns(vec![bvf_isa::asm::exit(); len]);
+        LedgerEntry {
+            corpus: vec![Arc::new(Scenario::test_run(prog, ProgType::SocketFilter))],
+            ..LedgerEntry::default()
+        }
+    }
+
+    fn corpus_lens(seed: &BatchSeed) -> Vec<usize> {
+        seed.corpus.iter().map(|s| s.prog.insn_count()).collect()
+    }
+
+    #[test]
+    fn schedule_leases_wait_for_whole_generations() {
+        let cfg = two_batch_generations();
+        let mut s = Schedule::new(&cfg, 0);
+        // Generations 0 and 1 seed from nothing.
+        for b in 0..4 {
+            assert_eq!(s.lease(), Some(b));
+        }
+        // Batch 4 (generation 2) seeds from generation 0 = batches {0, 1}.
+        assert_eq!(s.lease(), None);
+        assert!(s.has_pending());
+        s.complete(fake_output(&cfg, 1));
+        assert_eq!(s.lease(), None, "half a generation is not enough");
+        s.complete(fake_output(&cfg, 0));
+        assert_eq!(s.lease(), Some(4));
+        assert_eq!(s.lease(), Some(5));
+        assert_eq!(s.lease(), None, "generation 3 needs generation 1");
+    }
+
+    #[test]
+    fn schedule_requeues_lost_leases() {
+        let cfg = two_batch_generations();
+        let mut s = Schedule::new(&cfg, 0);
+        assert_eq!(s.lease(), Some(0));
+        assert_eq!(s.lease(), Some(1));
+        s.requeue(0);
+        assert_eq!(
+            s.lease(),
+            Some(0),
+            "a lost lease is leased again, lowest first"
+        );
+        // A batch that completed meanwhile is not requeued.
+        s.complete(fake_output(&cfg, 1));
+        s.requeue(1);
+        assert_eq!(s.lease(), Some(2));
+    }
+
+    #[test]
+    fn schedule_ignores_duplicate_and_late_completions() {
+        let cfg = two_batch_generations();
+        let mut s = Schedule::new(&cfg, 0);
+        assert!(s.complete(fake_output(&cfg, 0)));
+        let mut dup = fake_output(&cfg, 0);
+        dup.accepted = 99;
+        assert!(!s.complete(dup), "the first completion is kept");
+        let t = s.totals();
+        assert_eq!((t.batches, t.iterations, t.accepted), (1, 16, 1));
+        assert_eq!(t.coverage.len(), 1);
+
+        for b in 1..batch_count(&cfg) {
+            assert!(s.complete(fake_output(&cfg, b)));
+        }
+        assert!(s.take_outputs().is_some());
+        assert!(!s.complete(fake_output(&cfg, 3)), "late straggler");
+        let t = s.totals();
+        assert_eq!((t.batches, t.iterations, t.accepted), (8, 128, 8));
+        assert_eq!(t.coverage.len(), 8);
+    }
+
+    #[test]
+    fn schedule_outputs_are_taken_once() {
+        let cfg = two_batch_generations();
+        let mut s = Schedule::new(&cfg, 0);
+        for b in (0..batch_count(&cfg)).rev() {
+            assert!(s.take_outputs().is_none(), "incomplete campaign");
+            s.complete(fake_output(&cfg, b));
+        }
+        let outputs = s.take_outputs().expect("every batch completed");
+        let ids: Vec<usize> = outputs.iter().map(|o| o.batch).collect();
+        assert_eq!(ids, (0..8).collect::<Vec<_>>(), "batch order");
+        assert!(s.take_outputs().is_none(), "taken twice");
+
+        // A campaign without batches is complete from the start.
+        let mut empty = Schedule::new(&CampaignConfig::new(GeneratorKind::Bvf, 0, 1), 0);
+        assert_eq!(empty.take_outputs().map(|o| o.len()), Some(0));
+        assert!(empty.take_outputs().is_none());
+    }
+
+    #[test]
+    fn seed_views_are_publication_order_independent() {
+        let cfg = two_batch_generations();
+        let mut a = CorpusLedger::new(&cfg);
+        let mut b = CorpusLedger::new(&cfg);
+        // Same entries, opposite publication orders.
+        for batch in 0..4 {
+            a.publish(batch, marker_entry(batch + 1));
+        }
+        for batch in (0..4).rev() {
+            b.publish(batch, marker_entry(batch + 1));
+        }
+        for batch in 4..8 {
+            let (sa, sb) = (a.seed_for(&cfg, batch), b.seed_for(&cfg, batch));
+            assert_eq!(corpus_lens(&sa), corpus_lens(&sb), "batch {batch}");
+        }
+        assert_eq!(corpus_lens(&a.seed_for(&cfg, 7)), vec![1, 2, 3, 4]);
     }
 
     #[test]

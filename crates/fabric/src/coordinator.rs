@@ -1,33 +1,35 @@
-//! The campaign coordinator: lease scheduling, corpus-delta streaming,
-//! completion merging, and churn recovery over the wire protocol.
+//! The campaign coordinator: corpus-delta streaming, completion
+//! merging, and churn recovery over the wire protocol. Lease scheduling
+//! is one [`Schedule`] per campaign, the same one the local runners
+//! use: grants, reaps, releases and completions all go through it, and
+//! campaign status reads its totals.
 //!
 //! # Determinism under churn
 //!
 //! The coordinator re-issues a lost lease (worker disconnect, lease
-//! expiry) by simply returning the batch id to the pending queue. This
-//! is safe because a batch's result is a pure function of
+//! expiry) by requeueing the batch in the schedule. This is safe
+//! because a batch's result is a pure function of
 //! `(CampaignConfig, batch id, seed view)`: its RNG stream is keyed by
 //! the batch id ([`stream_seed`]), and its seed view is a pure fold of
-//! the ledger entries of its fully-published earlier generations —
-//! which the coordinator *gates grants on* ([`CorpusLedger::ready_for`]),
-//! so every worker that ever runs the batch computes the identical seed
-//! view from the identical streamed deltas. Two executions of one batch
-//! therefore produce byte-identical outputs, and the coordinator keeps
-//! the first [`Request::Complete`] and ignores duplicates. Merged
-//! results are bit-identical to a local `--workers N` run at any churn
+//! the ledger entries of its fully-published earlier generations — the
+//! schedule leases no batch before those have published, so every
+//! worker that ever runs the batch computes the identical seed view
+//! from the identical streamed deltas. Two executions of one batch
+//! therefore produce byte-identical outputs, and the schedule keeps the
+//! first [`Request::Complete`] and ignores duplicates. Merged results
+//! are bit-identical to a local `--workers N` run at any churn
 //! interleaving.
 //!
 //! [`stream_seed`]: bvf::fuzz::stream_seed
-//! [`CorpusLedger::ready_for`]: bvf::fuzz::CorpusLedger::ready_for
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use bvf::fuzz::{batch_count, merge_batches, BatchOutput, CampaignConfig, CorpusLedger};
+use bvf::fuzz::{batch_count, merge_batches, BatchOutput, CampaignConfig, Schedule};
 use bvf_telemetry::fabric::FabricCounters;
 use bvf_telemetry::Telemetry;
 
@@ -75,70 +77,49 @@ struct Finished {
 /// One submitted campaign's scheduling state.
 struct Campaign {
     cfg: CampaignConfig,
-    total: usize,
-    ledger: CorpusLedger,
-    /// Publish-ordered corpus deltas; a worker's ack is an index here.
-    deltas: Vec<CorpusDelta>,
-    /// Batches not yet leased (or returned by churn).
-    pending: BTreeSet<usize>,
+    schedule: Schedule,
     /// Batches currently leased.
     leases: BTreeMap<usize, LeaseInfo>,
-    /// Completed outputs, indexed by batch id.
-    outputs: Vec<Option<BatchOutput>>,
-    done: usize,
-    /// Running tallies over completed batches (the status surface).
-    iterations: usize,
-    accepted: usize,
-    reject_reasons: BTreeMap<String, usize>,
-    findings_seen: usize,
+    /// Publish-ordered corpus deltas; a worker's ack is an index here.
+    deltas: Vec<CorpusDelta>,
     finished: Option<Finished>,
 }
 
 impl Campaign {
     fn new(cfg: CampaignConfig) -> Campaign {
-        let total = batch_count(&cfg);
         Campaign {
-            ledger: CorpusLedger::new(&cfg),
-            total,
-            deltas: Vec::new(),
-            pending: (0..total).collect(),
+            schedule: Schedule::new(&cfg, 0),
             leases: BTreeMap::new(),
-            outputs: (0..total).map(|_| None).collect(),
-            done: 0,
-            iterations: 0,
-            accepted: 0,
-            reject_reasons: BTreeMap::new(),
-            findings_seen: 0,
+            deltas: Vec::new(),
             finished: None,
             cfg,
         }
     }
 
-    /// Returns expired leases to pending; counts each as a re-issue.
-    fn reap(&mut self, now: Instant, counters: &mut FabricCounters) {
-        let expired: Vec<usize> = self
-            .leases
-            .iter()
-            .filter(|(_, l)| l.deadline <= now)
-            .map(|(b, _)| *b)
-            .collect();
-        for b in expired {
-            self.leases.remove(&b);
-            self.pending.insert(b);
+    /// Requeues every lease `lost` selects; counts each as a re-issue.
+    fn requeue_where(&mut self, lost: impl Fn(&LeaseInfo) -> bool, counters: &mut FabricCounters) {
+        let schedule = &mut self.schedule;
+        self.leases.retain(|&b, l| {
+            if !lost(l) {
+                return true;
+            }
+            schedule.requeue(b);
             counters.leases_reissued += 1;
-        }
+            false
+        });
     }
 
     fn status(&self, id: u64) -> CampaignStatus {
+        let t = self.schedule.totals();
         CampaignStatus {
             campaign: id,
-            batches_total: self.total,
-            batches_done: self.done,
+            batches_total: batch_count(&self.cfg),
+            batches_done: t.batches,
             batches_leased: self.leases.len(),
-            iterations: self.iterations,
-            accepted: self.accepted,
-            reject_reasons: self.reject_reasons.clone(),
-            findings: self.findings_seen,
+            iterations: t.iterations,
+            accepted: t.accepted,
+            reject_reasons: t.reject_reasons.clone(),
+            findings: t.signatures.len(),
             complete: self.finished.is_some(),
         }
     }
@@ -307,23 +288,11 @@ fn handshake(shared: &Shared, conn: &mut FrameConn) -> Option<(u64, Role)> {
     Some((session, role))
 }
 
-/// Returns every lease a vanished session held to the pending queue.
+/// Requeues every lease a vanished session held.
 fn release_session_leases(state: &mut State, session: u64) {
-    let mut reissued = 0;
     for c in state.campaigns.values_mut() {
-        let held: Vec<usize> = c
-            .leases
-            .iter()
-            .filter(|(_, l)| l.session == session)
-            .map(|(b, _)| *b)
-            .collect();
-        for b in held {
-            c.leases.remove(&b);
-            c.pending.insert(b);
-            reissued += 1;
-        }
+        c.requeue_where(|l| l.session == session, &mut state.counters);
     }
-    state.counters.leases_reissued += reissued;
 }
 
 /// Serves one request.
@@ -356,6 +325,7 @@ fn dispatch(shared: &Shared, session: u64, req: Request) -> Response {
             let id = state.next_campaign;
             state.next_campaign += 1;
             state.campaigns.insert(id, Campaign::new(config));
+            merge_if_complete(shared, state, id);
             Response::Submitted { campaign: id }
         }
         Request::Status { campaign } => {
@@ -390,8 +360,8 @@ fn dispatch(shared: &Shared, session: u64, req: Request) -> Response {
     }
 }
 
-/// Grants the lowest ready pending batch of the lowest-id unfinished
-/// campaign, streaming the delta suffix the worker lacks. Grant policy
+/// Grants the next batch of the lowest-id campaign whose schedule has
+/// one ready, streaming the delta suffix the worker lacks. Grant policy
 /// is pure scheduling — any policy merges to the same bytes — but this
 /// one keeps campaigns finishing in submission order.
 fn grant_lease(shared: &Shared, session: u64, known: &BTreeMap<u64, u64>) -> Response {
@@ -400,21 +370,12 @@ fn grant_lease(shared: &Shared, session: u64, known: &BTreeMap<u64, u64>) -> Res
     let mut state = shared.state.lock().unwrap();
     let state = &mut *state;
     for c in state.campaigns.values_mut() {
-        c.reap(now, &mut state.counters);
+        c.requeue_where(|l| l.deadline <= now, &mut state.counters);
     }
     for (&id, c) in state.campaigns.iter_mut() {
-        if c.finished.is_some() {
-            continue;
-        }
-        let Some(batch) = c
-            .pending
-            .iter()
-            .copied()
-            .find(|&b| c.ledger.ready_for(&c.cfg, b))
-        else {
+        let Some(batch) = c.schedule.lease() else {
             continue;
         };
-        c.pending.remove(&batch);
         c.leases.insert(batch, LeaseInfo { session, deadline });
         state.counters.leases_issued += 1;
         let have = known.get(&id).map_or(0, |&n| n as usize);
@@ -431,15 +392,12 @@ fn grant_lease(shared: &Shared, session: u64, known: &BTreeMap<u64, u64>) -> Res
     Response::NoWork
 }
 
-/// Accepts one batch completion: publishes its ledger entry, streams it
-/// as a delta, tallies status, and merges the campaign when the last
-/// batch lands. Duplicate completions (possible after lease re-issue —
-/// both executions are byte-identical) are acknowledged and dropped
-/// *before* the ledger publish, which would otherwise assert. Once every
-/// batch has completed, the outputs belong to the merge, so the guard
-/// keys on `done == total`: a straggler landing during or after the
-/// merge gets the same stale ack instead of tripping the ledger's
-/// publish assert.
+/// Accepts one batch completion: the schedule publishes its ledger
+/// entry and folds it into the status totals, the entry joins the delta
+/// stream, and the campaign merges when the last batch lands.
+/// Duplicate completions (possible after lease re-issue — both
+/// executions are byte-identical) and stragglers landing during or
+/// after the merge are acknowledged stale and dropped by the schedule.
 fn complete_batch(shared: &Shared, campaign: u64, output: BatchOutput) -> Response {
     let mut guard = shared.state.lock().unwrap();
     // Reborrow so `campaigns` and `counters` borrow as disjoint fields.
@@ -448,46 +406,44 @@ fn complete_batch(shared: &Shared, campaign: u64, output: BatchOutput) -> Respon
         return Response::Unknown { campaign };
     };
     let b = output.batch;
-    if b >= c.total {
+    let total = batch_count(&c.cfg);
+    if b >= total {
         return Response::Error {
-            reason: format!("batch {b} out of range (campaign has {})", c.total),
+            reason: format!("batch {b} out of range (campaign has {total})"),
         };
     }
-    if c.done == c.total || c.outputs[b].is_some() {
+    let entry = output.ledger_entry();
+    if !c.schedule.complete(output) {
         state.counters.duplicate_completions += 1;
         return Response::Accepted { fresh: false };
     }
     c.leases.remove(&b);
-    c.pending.remove(&b);
-    c.ledger.publish(b, output.ledger_entry());
     c.deltas.push(CorpusDelta {
         seq: c.deltas.len() as u64,
         batch: b,
-        entry: output.ledger_entry(),
+        entry,
     });
-    c.iterations += output.iterations;
-    c.accepted += output.accepted;
-    for (reason, count) in &output.reject_reasons {
-        *c.reject_reasons.entry(reason.clone()).or_insert(0) += count;
-    }
-    c.findings_seen += output.findings.len();
-    c.outputs[b] = Some(output);
-    c.done += 1;
     state.counters.completions += 1;
-    if c.done < c.total {
-        return Response::Accepted { fresh: true };
-    }
-    // The merge triages every finding of the campaign, so it runs
-    // without the lock that every Lease, Extend and Status request takes.
-    let outputs: Vec<BatchOutput> = c
-        .outputs
-        .iter_mut()
-        .map(|o| o.take().expect("every batch completed"))
-        .collect();
+    merge_if_complete(shared, guard, campaign);
+    Response::Accepted { fresh: true }
+}
+
+/// Merges the campaign once its schedule holds every output — after its
+/// last completion, or at submit for a campaign without batches. The
+/// merge triages every finding of the campaign, so it runs without the
+/// lock that every Lease, Extend and Status request takes.
+fn merge_if_complete(shared: &Shared, mut guard: MutexGuard<'_, State>, campaign: u64) {
+    let state = &mut *guard;
+    let c = state
+        .campaigns
+        .get_mut(&campaign)
+        .expect("merging a submitted campaign");
+    let Some(outputs) = c.schedule.take_outputs() else {
+        return;
+    };
     let (cfg, counters) = (c.cfg.clone(), state.counters);
     drop(guard);
     finalize_campaign(shared, campaign, &cfg, &outputs, &counters);
-    Response::Accepted { fresh: true }
 }
 
 /// Merges a fully completed campaign (deduplicating and triaging its

@@ -4,22 +4,24 @@
 //!
 //! The mapping from in-process pieces to wire concepts is one-to-one:
 //!
-//! - work-stealing **lease batches** become wire-leased batch grants
-//!   ([`proto::Request::Lease`] / [`proto::LeaseGrant`]);
-//! - the exchange hub's sequence-numbered **corpus deltas** become
-//!   streamed [`proto::CorpusDelta`] frames a worker folds into a
-//!   mirrored [`CorpusLedger`];
-//! - the final [`merge_batches`] runs on the coordinator once every
-//!   batch has completed; it deduplicates and triages the findings, so
-//!   workers never exchange anything about findings.
+//! - the coordinator schedules each campaign with the same
+//!   [`Schedule`] the local runners use; a lease it grants becomes a
+//!   wire grant ([`proto::Request::Lease`] / [`proto::LeaseGrant`]);
+//! - the ledger entries completed batches publish become streamed,
+//!   sequence-numbered [`proto::CorpusDelta`] frames a worker folds
+//!   into a mirrored [`CorpusLedger`];
+//! - the final [`merge_batches`] runs on the coordinator once the
+//!   schedule holds every batch's output; it deduplicates and triages
+//!   the findings, so workers never exchange anything about findings.
 //!
 //! Determinism is inherited, not re-proven: a batch's output is a pure
 //! function of `(CampaignConfig, batch id, seed view)`, and the
-//! coordinator only grants batches whose seed generations have fully
+//! schedule only leases batches whose seed generations have fully
 //! published — so worker churn, lease re-issue and duplicate
 //! completions all merge to results **bit-identical** to a local
 //! `--workers N` run. See `DESIGN.md` §6 for the full argument.
 //!
+//! [`Schedule`]: bvf::fuzz::Schedule
 //! [`CorpusLedger`]: bvf::fuzz::CorpusLedger
 //! [`merge_batches`]: bvf::fuzz::merge_batches
 

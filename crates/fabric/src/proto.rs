@@ -69,14 +69,14 @@ pub struct LeaseGrant {
     /// map did not list the campaign yet (first grant from it).
     pub config: Option<CampaignConfig>,
     /// Corpus deltas published since the worker's acked sequence count,
-    /// in publish order. The coordinator only grants batches whose
-    /// seed generations have fully published, so after applying these
-    /// the worker's mirrored ledger can always build the seed view.
+    /// in publish order. The coordinator's schedule only leases batches
+    /// whose seed generations have fully published, so after applying
+    /// these the worker's mirrored ledger can always build the seed view.
     pub deltas: Vec<CorpusDelta>,
 }
 
-/// Live progress of one campaign, served by [`Request::Status`]. The
-/// rejection-taxonomy and acceptance tallies fold completed batches
+/// Live progress of one campaign, served by [`Request::Status`] from
+/// the campaign schedule's totals. The tallies fold completed batches
 /// only, so they are a deterministic prefix of the final stats.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignStatus {
@@ -94,7 +94,8 @@ pub struct CampaignStatus {
     pub accepted: usize,
     /// Typed rejection reason → count over completed batches.
     pub reject_reasons: BTreeMap<String, usize>,
-    /// Locally deduplicated findings reported by completed batches.
+    /// Distinct finding signatures among completed batches — the merged
+    /// finding count once every batch has completed.
     pub findings: usize,
     /// Whether the campaign has merged its final result.
     pub complete: bool,

@@ -354,6 +354,21 @@ fn remote_campaign_is_byte_identical_to_local() {
 }
 
 #[test]
+fn zero_iteration_remote_campaign_completes() {
+    // A campaign without batches never completes one, so merging only on
+    // completion once left it pending forever; it merges at submit.
+    let cfg = small_config(0, 11);
+    let local_stats = run_campaign(&cfg).to_stats(cfg.seed, Registry::new());
+    let (outcome, counters) = fabric_run(&cfg, 1, 0);
+    assert_eq!(
+        stats_sans_metrics(&outcome.stats),
+        stats_sans_metrics(&local_stats)
+    );
+    assert!(outcome.findings.is_empty());
+    assert_eq!(counters.leases_issued, 0);
+}
+
+#[test]
 fn churned_workers_do_not_change_the_result() {
     let cfg = small_config(256, 23);
     let local = run_campaign(&cfg);

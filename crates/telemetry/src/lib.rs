@@ -39,29 +39,17 @@ pub use profile::{PhaseTimings, PruneCounters};
 pub use stats::{CampaignStats, SancheckStats};
 pub use trace::{GenSource, JsonlSink, NullSink, TraceEvent, TraceSink};
 
-use std::io::IsTerminal;
-use std::time::Instant;
-
 /// The telemetry bundle one campaign threads through its loop: the
-/// metrics registry, the event sink, and an optional live progress
-/// meter. [`Telemetry::null`] is the zero-overhead default.
+/// metrics registry and the event sink. [`Telemetry::null`] is the
+/// zero-overhead default.
 pub struct Telemetry {
     /// Counters, gauges, and histograms accumulated by the campaign.
     pub registry: Registry,
     sink: Box<dyn TraceSink>,
-    progress: Option<Progress>,
-}
-
-struct Progress {
-    every: usize,
-    epoch: Instant,
-    is_tty: bool,
-    printed: bool,
 }
 
 impl Telemetry {
-    /// Telemetry that records metrics but traces nowhere and prints
-    /// nothing.
+    /// Telemetry that records metrics but traces nowhere.
     pub fn null() -> Telemetry {
         Telemetry::new(Box::new(NullSink))
     }
@@ -71,20 +59,7 @@ impl Telemetry {
         Telemetry {
             registry: Registry::default(),
             sink,
-            progress: None,
         }
-    }
-
-    /// Enables a live one-line progress report on stderr every `every`
-    /// iterations (0 disables it).
-    pub fn with_progress_every(mut self, every: usize) -> Telemetry {
-        self.progress = (every > 0).then(|| Progress {
-            every,
-            epoch: Instant::now(),
-            is_tty: std::io::stderr().is_terminal(),
-            printed: false,
-        });
-        self
     }
 
     /// Whether emitting trace events does anything — lets hot loops skip
@@ -98,47 +73,9 @@ impl Telemetry {
         self.sink.emit(event);
     }
 
-    /// Flushes the sink and finishes the progress line (if one is being
-    /// overwritten in place).
+    /// Flushes the sink.
     pub fn finish(&mut self) {
-        if let Some(p) = &mut self.progress {
-            if p.is_tty && p.printed {
-                eprintln!();
-            }
-        }
         self.sink.flush();
-    }
-
-    /// Ticks the progress meter; prints a one-line report when `iter` is
-    /// on the configured cadence (or is the final iteration).
-    #[allow(clippy::too_many_arguments)]
-    pub fn progress(
-        &mut self,
-        iter: usize,
-        total: usize,
-        accepted: usize,
-        coverage: usize,
-        findings: usize,
-        corpus: usize,
-    ) {
-        let Some(p) = &mut self.progress else { return };
-        let done = iter + 1;
-        if !done.is_multiple_of(p.every) && done != total {
-            return;
-        }
-        let secs = p.epoch.elapsed().as_secs_f64();
-        let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-        let line = format!(
-            "[{:3.0}%] iter {done}/{total}  acc {:.1}%  cov {coverage}  findings {findings}  corpus {corpus}  {rate:.0} it/s",
-            100.0 * done as f64 / total.max(1) as f64,
-            100.0 * accepted as f64 / done.max(1) as f64,
-        );
-        if p.is_tty {
-            eprint!("\r\x1b[2K{line}");
-            p.printed = true;
-        } else {
-            eprintln!("{line}");
-        }
     }
 }
 
