@@ -5,11 +5,12 @@
 //! comparisons the structural fingerprint filtered out, the prune hit
 //! rate, resident states per prune point, eviction traffic, and the
 //! wall-clock ratio between the two runs. The two campaigns must
-//! produce identical findings, acceptance, and coverage: the index is
-//! a pure filter and this binary doubles as the regression check for
-//! that invariant (`--check` additionally enforces the >50%
-//! filtered-fraction floor from the optimization's acceptance
-//! criteria, for CI).
+//! produce identical findings, acceptance, and coverage, and explore
+//! alike: equal `prune.checks`, `prune.hits`, `prune.evictions`,
+//! `prune.points` and `prune.states_stored`. The index is a pure filter
+//! and this binary doubles as the regression check for that invariant
+//! (`--check` additionally enforces the >50% filtered-fraction floor
+//! from the optimization's acceptance criteria, for CI).
 //!
 //! All counters come from the merged `prune.*` registry counters the
 //! verifier threads through `PhaseTimings` — the same numbers `bvf
@@ -57,7 +58,9 @@ fn main() {
     let wall_ns_off = t1.elapsed().as_nanos() as u64;
 
     // The pure-filter invariant, end to end: same findings, same
-    // acceptance, same coverage — only the comparison counts may move.
+    // acceptance, same coverage, and the same exploration — every prune
+    // point visited, pruned, stored and evicted alike. Only the
+    // comparison counts may move.
     let sig = |r: &bvf::fuzz::CampaignResult| {
         r.findings
             .iter()
@@ -67,6 +70,19 @@ fn main() {
     assert_eq!(sig(&on), sig(&off), "index changed the findings");
     assert_eq!(on.accepted, off.accepted, "index changed acceptance");
     assert_eq!(on.coverage, off.coverage, "index changed coverage");
+    for name in [
+        "prune.checks",
+        "prune.hits",
+        "prune.evictions",
+        "prune.points",
+        "prune.states_stored",
+    ] {
+        assert_eq!(
+            on_stats.metrics.counter(name),
+            off_stats.metrics.counter(name),
+            "index changed {name}"
+        );
+    }
 
     let c = |name: &str| on_stats.metrics.counter(name);
     let checks = c("prune.checks");

@@ -328,3 +328,74 @@ fn corpus_out_leaves_a_one_worker_trace_unchanged() {
     assert!(!plain.is_empty());
     assert_eq!(plain, with_snapshot);
 }
+
+/// The count in front of `word` in `line`, e.g. `12 loads` → 12.
+fn count_before(line: &str, word: &str) -> usize {
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let at = words
+        .iter()
+        .position(|w| *w == word)
+        .unwrap_or_else(|| panic!("no {word} in {line:?}"));
+    words[at.checked_sub(1).expect("a count first")]
+        .parse()
+        .unwrap_or_else(|_| panic!("count before {word} in {line:?}"))
+}
+
+#[test]
+fn report_splits_verifier_time_by_verdict() {
+    // Seed 7 hits the verifier's complexity limit once in 300 iterations.
+    let dir = std::env::temp_dir().join(format!("bvf-cli-report-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("t.jsonl").to_str().expect("utf-8").to_string();
+    let fuzz = bvf(&[
+        "fuzz",
+        "--iters",
+        "300",
+        "--seed",
+        "7",
+        "--trace-out",
+        &trace,
+    ]);
+    assert!(
+        fuzz.status.success(),
+        "{}",
+        String::from_utf8_lossy(&fuzz.stderr)
+    );
+    let out = bvf(&["report", &trace]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let lines: Vec<&str> = stdout.lines().collect();
+    let verified = count_before(lines[0], "programs");
+    let accepted = count_before(lines[0], "accepted");
+    let at = lines
+        .iter()
+        .position(|l| *l == "verifier time by verdict:")
+        .unwrap_or_else(|| panic!("no verifier time section in {stdout}"));
+    let rows = &lines[at + 1..at + 4];
+    let loads = |label: &str| {
+        let row = rows
+            .iter()
+            .find(|r| r.trim_start().starts_with(label))
+            .unwrap_or_else(|| panic!("no {label} row in {rows:?}"));
+        count_before(row, "loads")
+    };
+    let limit = loads("complexity limit");
+    assert_eq!(loads("accepted"), accepted, "{stdout}");
+    assert_eq!(
+        accepted + limit + loads("other rejections"),
+        verified,
+        "{stdout}"
+    );
+    let reason_row = lines
+        .iter()
+        .find(|l| l.trim_start().starts_with("complexity_limit "))
+        .unwrap_or_else(|| panic!("no complexity_limit rejections in {stdout}"));
+    assert_eq!(field(reason_row, "complexity_limit"), limit, "{stdout}");
+    assert!(limit >= 1, "{stdout}");
+}

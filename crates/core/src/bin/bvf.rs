@@ -43,8 +43,9 @@
 //! ledger in batch order, so steered campaigns remain bit-identical at
 //! any `--workers` count. `bvf report` reads a `--trace-out` file back
 //! and prints the rejection-reason breakdown (the verifier's typed
-//! taxonomy) and per-shape acceptance rates; it exits nonzero on a
-//! malformed trace.
+//! taxonomy), per-shape acceptance rates, and where verifier time went
+//! (accepted loads, complexity-limit rejections, other rejections); it
+//! exits nonzero on a malformed trace.
 //!
 //! `--diff-oracle` arms the abstract-vs-concrete differential oracle
 //! (Indicator #3): the verifier exports per-instruction abstract-state
@@ -120,7 +121,7 @@ use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
 use bvf_telemetry::{JsonlSink, NullSink, Telemetry, TraceEvent, TraceSink};
-use bvf_verifier::KernelVersion;
+use bvf_verifier::{KernelVersion, RejectReason};
 
 const USAGE: &str = "usage:\n  \
          bvf fuzz   [--iters N] [--seed S] [--generator G] [--bugs SPEC] [--version V]\n             \
@@ -1060,7 +1061,8 @@ fn cmd_corpus_import(args: &Args) {
 }
 
 /// `bvf report <trace.jsonl>`: fold a `--trace-out` file back into the
-/// rejection-taxonomy breakdown and per-shape acceptance rates.
+/// rejection-taxonomy breakdown, per-shape acceptance rates, and the
+/// verifier time of each verdict class.
 ///
 /// Worker-tagged parallel traces are supported: `Gen` and `Verify`
 /// events are joined on `(worker, iter)`, so each verdict is attributed
@@ -1081,6 +1083,10 @@ fn cmd_report(path: &str) {
     let mut pending_shape: BTreeMap<(u64, usize), String> = BTreeMap::new();
     // shape -> (verdicts, accepted)
     let mut by_shape: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    // Verifier time per verdict class, as (loads, total_ns, do_check_ns):
+    // accepted, complexity-limit rejections, other rejections.
+    const VERDICT_CLASSES: [&str; 3] = ["accepted", "complexity limit", "other rejections"];
+    let mut time_by_verdict = [(0usize, 0u64, 0u64); 3];
 
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -1105,9 +1111,20 @@ fn cmd_report(path: &str) {
                 iter,
                 accepted: ok,
                 reason,
+                do_check_ns,
+                total_ns,
                 ..
             } => {
                 verified += 1;
+                let class = match &reason {
+                    _ if ok => 0,
+                    Some(r) if r == RejectReason::ComplexityLimit.name() => 1,
+                    _ => 2,
+                };
+                let time = &mut time_by_verdict[class];
+                time.0 += 1;
+                time.1 += total_ns;
+                time.2 += do_check_ns;
                 let label = pending_shape
                     .remove(&(worker, iter))
                     .unwrap_or_else(|| "unsteered".to_string());
@@ -1159,6 +1176,24 @@ fn cmd_report(path: &str) {
                 pct(*acc, *verdicts)
             );
         }
+    }
+
+    // Verifier time is every verifier phase plus sanitation
+    // (`total_ns`); `do_check` is the symbolic walk inside it.
+    let all_ns: u64 = time_by_verdict.iter().map(|t| t.1).sum();
+    println!("\nverifier time by verdict:");
+    for (class, (loads, total_ns, do_check_ns)) in VERDICT_CLASSES.iter().zip(time_by_verdict) {
+        let mean_ms = if loads == 0 {
+            0.0
+        } else {
+            total_ns as f64 / loads as f64 / 1e6
+        };
+        println!(
+            "  {class:<28} {loads:>8} loads {:>10.3} s {:>5.1}%  mean {mean_ms:>9.3} ms  do_check {:>10.3} s",
+            total_ns as f64 / 1e9,
+            if all_ns == 0 { 0.0 } else { 100.0 * total_ns as f64 / all_ns as f64 },
+            do_check_ns as f64 / 1e9,
+        );
     }
 }
 

@@ -13,7 +13,7 @@ use bvf_kernel_sim::BugId;
 use crate::cov::Cat;
 use crate::env::Verifier;
 use crate::errors::{RejectReason, VerifierError};
-use crate::state::{StackByte, StackSlot, VerifierState};
+use crate::state::{FuncState, StackByte, StackSlot, VerifierState};
 use crate::types::{RegState, RegType};
 
 /// Why the memory is being accessed; stores and atomics need writability.
@@ -541,35 +541,35 @@ impl<'a> Verifier<'a> {
         bytes: u32,
         spill: Option<RegState>,
     ) {
-        // Unshare the frame's stack once up front; every path below
-        // writes to it.
-        let stack = state.cur_mut().stack_mut();
+        let stack = &mut state.cur_mut().stack;
         if bytes == 8 && off % 8 == 0 {
-            let (slot, _) = crate::state::FuncState::stack_index(off).expect("validated");
+            let (slot, _) = FuncState::stack_index(off).expect("validated");
             if let Some(src) = spill {
-                stack[slot] = StackSlot {
-                    bytes: [StackByte::Spill; 8],
-                    spilled: src,
-                };
+                stack.set_slot(
+                    slot,
+                    StackSlot {
+                        bytes: [StackByte::Spill; 8],
+                        spilled: src,
+                    },
+                );
                 self.cov.hit(Cat::StackOp, 2, src.typ.name().len() as u32);
                 return;
             }
             // Full-width immediate store: value is known but we track it
             // as MISC (kernel tracks ZERO specially for imm 0).
-            stack[slot] = StackSlot {
-                bytes: [StackByte::Misc; 8],
-                spilled: RegState::not_init(),
-            };
+            stack.set_slot(
+                slot,
+                StackSlot {
+                    bytes: [StackByte::Misc; 8],
+                    spilled: RegState::not_init(),
+                },
+            );
             return;
         }
         // Partial write: invalidate any spill, mark bytes misc.
         for i in 0..bytes as i32 {
-            let (slot, byte) = crate::state::FuncState::stack_index(off + i).expect("validated");
-            if stack[slot].is_full_spill() {
-                stack[slot].bytes = [StackByte::Misc; 8];
-                stack[slot].spilled = RegState::not_init();
-            }
-            stack[slot].bytes[byte] = StackByte::Misc;
+            let (slot, byte) = FuncState::stack_index(off + i).expect("validated");
+            stack.write_misc_byte(slot, byte);
         }
     }
 
@@ -581,19 +581,17 @@ impl<'a> Verifier<'a> {
         off: i32,
         bytes: u32,
     ) -> Result<Option<RegState>, VerifierError> {
-        let frame = state.cur();
+        let stack = &state.cur().stack;
         if bytes == 8 && off % 8 == 0 {
-            let (slot, _) = crate::state::FuncState::stack_index(off).expect("validated");
-            let s = &frame.stack[slot];
-            if s.is_full_spill() {
+            let (slot, _) = FuncState::stack_index(off).expect("validated");
+            if let Some(r) = stack.spilled(slot) {
                 self.cov.hit(Cat::StackOp, 3, 0);
-                return Ok(Some(s.spilled));
+                return Ok(Some(*r));
             }
         }
         for i in 0..bytes as i32 {
-            let (slot, byte) = crate::state::FuncState::stack_index(off + i).expect("validated");
-            let b = frame.stack[slot].bytes[byte];
-            if b == StackByte::Invalid {
+            let (slot, byte) = FuncState::stack_index(off + i).expect("validated");
+            if stack.bytes(slot)[byte] == StackByte::Invalid {
                 self.cov.hit(Cat::Error, 221, 0);
                 return Err(VerifierError::access(
                     RejectReason::StackUninitRead,

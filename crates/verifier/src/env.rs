@@ -1,10 +1,10 @@
 //! Verifier environment, options, and output types.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use bvf_isa::{Program, Reg};
+use bvf_isa::{InsnKind, Program, Reg};
 use bvf_kernel_sim::progtype::ProgType;
 use bvf_kernel_sim::Kernel;
 
@@ -170,11 +170,13 @@ pub struct Verifier<'a> {
     pub(crate) prog: Program,
     /// Program type.
     pub(crate) prog_type: ProgType,
-    /// Which slots start an instruction.
-    pub(crate) insn_starts: Vec<bool>,
-    /// Prune points (control-flow joins, back-edge targets, and
-    /// subprogram entries).
-    pub(crate) prune_points: HashSet<usize>,
+    /// Each instruction decoded once, indexed by the slot it starts
+    /// at; `None` for a slot that starts no instruction (the second
+    /// slot of an `LD_IMM64`).
+    pub(crate) decoded: Vec<Option<(InsnKind, usize)>>,
+    /// Whether each slot is a prune point (a control-flow join, a
+    /// back-edge target, or a subprogram entry).
+    pub(crate) prune_points: Vec<bool>,
     /// Coverage collected during this verification.
     pub cov: Coverage,
     /// Verification log.
@@ -183,8 +185,9 @@ pub struct Verifier<'a> {
     pub(crate) next_id: u32,
     /// Per-slot metadata.
     pub(crate) insn_meta: Vec<InsnMeta>,
-    /// States remembered at prune points, fingerprint-indexed.
-    pub(crate) explored: HashMap<usize, crate::shape::ExploredPoint>,
+    /// States remembered at each prune point, bucketed by fingerprint;
+    /// one point per slot.
+    pub(crate) explored: Vec<crate::shape::ExploredPoint>,
     /// Instructions processed so far.
     pub(crate) insn_processed: usize,
     /// Helper ids seen.
@@ -231,13 +234,13 @@ impl<'a> Verifier<'a> {
             opts,
             prog: prog.clone(),
             prog_type,
-            insn_starts: Vec::new(),
-            prune_points: HashSet::new(),
+            decoded: Vec::new(),
+            prune_points: Vec::new(),
             cov: Coverage::new(),
             log: Vec::new(),
             next_id: 0,
             insn_meta: vec![InsnMeta::default(); n],
-            explored: HashMap::new(),
+            explored: Vec::new(),
             insn_processed: 0,
             used_helpers: BTreeSet::new(),
             used_kfuncs: BTreeSet::new(),

@@ -25,7 +25,7 @@ impl<'a> Verifier<'a> {
         let n = self.prog.insn_count();
         let mut pc = 0;
         while pc < n {
-            if !self.insn_starts[pc] {
+            if self.decoded[pc].is_none() {
                 pc += 1;
                 continue;
             }

@@ -6,7 +6,7 @@
 //! pointer matches exactly, every stack byte is at least as initialized,
 //! and packet ranges are at least as large.
 
-use crate::state::{FuncState, StackByte, VerifierState};
+use crate::state::{FuncState, Stack, StackByte, VerifierState, STACK_SLOTS};
 use crate::types::{RegState, RegType};
 
 /// Whether `cur` is subsumed by the already-verified `old`.
@@ -39,32 +39,48 @@ fn funcsafe(old: &FuncState, cur: &FuncState) -> bool {
             return false;
         }
     }
-    // Shared stacks are identical; a stack subsumes itself.
-    if std::rc::Rc::ptr_eq(&old.stack, &cur.stack) {
+    stacksafe(&old.stack, &cur.stack)
+}
+
+/// Whether stack `cur` is within what `old` was verified for (the
+/// kernel's `stacksafe`): every byte at least as initialized, and every
+/// register spilled in `old` subsumes the one spilled in the same slot
+/// of `cur`.
+pub fn stacksafe(old: &Stack, cur: &Stack) -> bool {
+    // A stack subsumes itself.
+    if old.shares(cur) {
         return true;
     }
-    for (so, sc) in old.stack.iter().zip(cur.stack.iter()) {
-        for (bo, bc) in so.bytes.iter().zip(&sc.bytes) {
-            let ok = match bo {
-                StackByte::Invalid => true,
-                StackByte::Misc => !matches!(bc, StackByte::Invalid),
-                StackByte::Zero => matches!(bc, StackByte::Zero),
-                StackByte::Spill => matches!(bc, StackByte::Spill),
-            };
-            if !ok {
-                return false;
+    // Shared bytes are equal bytes, which pass the byte rule; only the
+    // spilled registers can differ.
+    if !old.shares_bytes(cur) {
+        for i in 0..STACK_SLOTS {
+            let (bo, bc) = (old.bytes(i), cur.bytes(i));
+            if bo == bc {
+                continue;
             }
-        }
-        if so.is_full_spill() {
-            if !sc.is_full_spill() {
-                return false;
-            }
-            if !regsafe(&so.spilled, &sc.spilled) {
-                return false;
+            for (bo, bc) in bo.iter().zip(&bc) {
+                let ok = match bo {
+                    StackByte::Invalid => true,
+                    StackByte::Misc => !matches!(bc, StackByte::Invalid),
+                    StackByte::Zero => matches!(bc, StackByte::Zero),
+                    StackByte::Spill => matches!(bc, StackByte::Spill),
+                };
+                if !ok {
+                    return false;
+                }
             }
         }
     }
-    true
+    // Every byte of an old full spill is `Spill`, so the byte rule made
+    // the same slot of `cur` a full spill too: `cur`'s spills are a
+    // superset of `old`'s, both ascending by slot.
+    let mut cur_spills = cur.spills().iter();
+    old.spills().iter().all(|(slot, ro)| {
+        cur_spills
+            .find(|(s, _)| s == slot)
+            .is_some_and(|(_, rc)| regsafe(ro, rc))
+    })
 }
 
 /// Whether register state `cur` is within what `old` was verified for.
@@ -125,6 +141,7 @@ fn range_within(old: &RegState, cur: &RegState) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StackSlot;
     use crate::tnum::Tnum;
 
     #[test]
@@ -192,11 +209,15 @@ mod tests {
         let mut cur = VerifierState::entry();
         assert!(states_equal(&old, &cur));
         // cur has extra initialization — still subsumed.
-        cur.cur_mut().stack_mut()[0].bytes = [StackByte::Misc; 8];
+        let misc = StackSlot {
+            bytes: [StackByte::Misc; 8],
+            spilled: RegState::not_init(),
+        };
+        cur.cur_mut().stack.set_slot(0, misc);
         assert!(states_equal(&old, &cur));
         // old requires init that cur lacks — not subsumed.
         let mut old2 = VerifierState::entry();
-        old2.cur_mut().stack_mut()[0].bytes = [StackByte::Misc; 8];
+        old2.cur_mut().stack.set_slot(0, misc);
         let cur2 = VerifierState::entry();
         assert!(!states_equal(&old2, &cur2));
     }

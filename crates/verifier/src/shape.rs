@@ -19,10 +19,16 @@
 //!   be initialized, not equal, so its slot is masked out;
 //! - an old all-`ZERO` or full-spill slot demands the same shape from
 //!   the current slot, so those compare exactly.
+//!
+//! A prune-point visit takes the fingerprint and the state's eviction
+//! score ([`StateShape::permissiveness`]) in one pass over each frame's
+//! registers. The stack's part of both is kept current by
+//! [`Stack`](crate::state::Stack) on every write, so no visit walks the
+//! 64 stack slots.
 
 use std::rc::Rc;
 
-use crate::state::{FuncState, StackByte, VerifierState};
+use crate::state::{FuncState, VerifierState};
 use crate::types::{RegState, RegType};
 
 /// Nibble-spread helper: maps every nonzero 4-bit lane of `tags` to
@@ -75,9 +81,18 @@ fn magnitude_class(v: u64) -> u16 {
 /// The last rule is the one with teeth on the loop-detection path: a
 /// counting loop revisits its prune point with the same type shape but
 /// a different induction value, and the low byte separates consecutive
-/// values 255 times out of 256.
+/// values 255 times out of 256. So it runs first, on all registers at
+/// once: the low bytes are packed one lane per register, and
+/// `const_mask` selects the lanes of the old frame's initialized
+/// known-constant registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FrameShape {
+    /// Per-register low byte of `umin`, one 8-bit lane per register
+    /// (low lane = R0).
+    umin_low: u128,
+    /// `0xFF` in the lanes of registers that are initialized known
+    /// constants (`umin == umax`), whose low bytes must match exactly.
+    const_mask: u128,
     /// One 4-bit [`RegType::tag`] per register (R0..R10), low nibble =
     /// R0.
     reg_tags: u64,
@@ -91,9 +106,6 @@ struct FrameShape {
     umax_class: [u16; SHAPE_REGS],
     /// Per-register magnitude class of `umin`.
     umin_class: [u16; SHAPE_REGS],
-    /// Per-register low byte of `umin`; compared exactly when the old
-    /// register is a known constant.
-    umin_low: [u8; SHAPE_REGS],
     /// Two bits per stack slot (64 slots): `01` = all bytes `ZERO`,
     /// `10` = full spill, `00` = anything else.
     stack_tags: [u64; 2],
@@ -103,45 +115,50 @@ struct FrameShape {
 }
 
 impl FrameShape {
-    fn of(frame: &FuncState) -> FrameShape {
+    /// The frame's shape and its share of the permissiveness score, in
+    /// one pass over the registers; the stack's part of both is kept
+    /// current by the [`Stack`](crate::state::Stack) itself.
+    fn of(frame: &FuncState) -> (FrameShape, u64) {
+        let mut umin_low = 0u128;
+        let mut const_mask = 0u128;
         let mut reg_tags = 0u64;
         let mut width_class = [0u16; SHAPE_REGS];
         let mut umax_class = [0u16; SHAPE_REGS];
         let mut umin_class = [0u16; SHAPE_REGS];
-        let mut umin_low = [0u8; SHAPE_REGS];
+        let mut score = frame.stack.permissiveness();
         for (i, r) in frame.regs.iter().enumerate() {
-            reg_tags |= u64::from(r.typ.tag()) << (i * 4);
+            let tag = r.typ.tag();
+            reg_tags |= u64::from(tag) << (i * 4);
             width_class[i] = magnitude_class(r.umax.wrapping_sub(r.umin));
             umax_class[i] = magnitude_class(r.umax);
             umin_class[i] = magnitude_class(r.umin);
-            umin_low[i] = r.umin as u8;
+            umin_low |= u128::from(r.umin as u8) << (i * 8);
+            if tag != 0 && r.umin == r.umax {
+                const_mask |= 0xFF << (i * 8);
+            }
+            score += reg_permissiveness(r);
         }
-        let mut stack_tags = [0u64; 2];
-        for (i, slot) in frame.stack.iter().enumerate() {
-            let tag: u64 = if slot.bytes.iter().all(|&b| b == StackByte::Zero) {
-                0b01
-            } else if slot.is_full_spill() {
-                0b10
-            } else {
-                0b00
-            };
-            stack_tags[i / 32] |= tag << ((i % 32) * 2);
-        }
-        FrameShape {
+        let stack_tags = frame.stack.tags();
+        let shape = FrameShape {
+            umin_low,
+            const_mask,
             reg_tags,
             reg_mask: nibble_mask(reg_tags),
             width_class,
             umax_class,
             umin_class,
-            umin_low,
             stack_tags,
             stack_mask: [pair_mask(stack_tags[0]), pair_mask(stack_tags[1])],
-        }
+        };
+        (shape, score)
     }
 
     /// Whether a state with this (old) frame shape can possibly subsume
     /// a state with frame shape `cur`.
     fn may_subsume(&self, cur: &FrameShape) -> bool {
+        if (self.umin_low ^ cur.umin_low) & self.const_mask != 0 {
+            return false;
+        }
         if (self.reg_tags ^ cur.reg_tags) & self.reg_mask != 0 {
             return false;
         }
@@ -163,16 +180,13 @@ impl FrameShape {
             {
                 return false;
             }
-            if self.width_class[i] == 0 && self.umin_low[i] != cur.umin_low[i] {
-                return false;
-            }
         }
         true
     }
 }
 
-/// The structural fingerprint of a [`VerifierState`], hashed once when
-/// the state is pushed into the explored index.
+/// The structural fingerprint of a [`VerifierState`], taken once per
+/// prune-point visit, together with the state's permissiveness score.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateShape {
     /// Hash of the exact-equality preconditions of `states_equal`
@@ -180,7 +194,13 @@ pub struct StateShape {
     /// subprogram start). States in different buckets can never be
     /// equal, so this keys the per-prune-point index.
     bucket: u64,
-    frames: Vec<FrameShape>,
+    /// See [`StateShape::permissiveness`].
+    permissiveness: u64,
+    /// The main frame's shape, inline so a one-frame state's shape
+    /// allocates nothing.
+    main: FrameShape,
+    /// The shapes of the frames above the main one, outermost first.
+    calls: Vec<FrameShape>,
 }
 
 /// SplitMix64 finalizer — the bucket hash's mixing function.
@@ -192,16 +212,25 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 impl StateShape {
-    /// Projects `state` onto its structural fingerprint.
+    /// Projects `state` onto its structural fingerprint and scores it,
+    /// in one pass over its frames.
     pub fn of(state: &VerifierState) -> StateShape {
         let mut bucket = mix(state.frames.len() as u64, state.acquired_refs.len() as u64);
-        for f in &state.frames {
+        let mut permissiveness = 0;
+        let mut frames = state.frames.iter().map(|f| {
             bucket = mix(bucket, f.callsite as u64);
             bucket = mix(bucket, f.subprog_start as u64);
-        }
+            let (shape, score) = FrameShape::of(f);
+            permissiveness += score;
+            shape
+        });
+        let main = frames.next().expect("at least one frame");
+        let calls = frames.collect();
         StateShape {
             bucket,
-            frames: state.frames.iter().map(|f| FrameShape::of(f)).collect(),
+            permissiveness,
+            main,
+            calls,
         }
     }
 
@@ -210,45 +239,33 @@ impl StateShape {
         self.bucket
     }
 
+    /// A deterministic "how much does this state admit" score used by
+    /// the eviction policy: higher scores subsume more future states.
+    /// Only the ordering matters, and only its determinism is
+    /// load-bearing. It sums, over all frames, every register's share
+    /// (most for `NOT_INIT`, then by range width for scalars, least for
+    /// pointers) and the stack's share
+    /// ([`Stack::permissiveness`](crate::state::Stack::permissiveness)).
+    pub fn permissiveness(&self) -> u64 {
+        self.permissiveness
+    }
+
     /// Whether a stored (old) state with shape `self` can possibly
     /// subsume a current state with shape `cur`. `false` guarantees
     /// `states_equal(old, cur) == false`.
     pub fn may_subsume(&self, cur: &StateShape) -> bool {
-        self.frames.len() == cur.frames.len()
+        self.calls.len() == cur.calls.len()
+            && self.main.may_subsume(&cur.main)
             && self
-                .frames
+                .calls
                 .iter()
-                .zip(&cur.frames)
+                .zip(&cur.calls)
                 .all(|(o, c)| o.may_subsume(c))
     }
 }
 
-/// A deterministic "how much does this state admit" score used by the
-/// eviction policy: higher scores subsume more future states. Only the
-/// ordering matters, and only its determinism is load-bearing.
-pub fn permissiveness(state: &VerifierState) -> u64 {
-    let mut score = 0u64;
-    for f in &state.frames {
-        for r in &f.regs {
-            score += reg_permissiveness(r);
-        }
-        for s in f.stack.iter() {
-            for b in &s.bytes {
-                score += match b {
-                    StackByte::Invalid => 4,
-                    StackByte::Misc => 2,
-                    StackByte::Zero | StackByte::Spill => 0,
-                };
-            }
-            if s.is_full_spill() {
-                score += reg_permissiveness(&s.spilled) >> 3;
-            }
-        }
-    }
-    score
-}
-
-fn reg_permissiveness(r: &RegState) -> u64 {
+/// One register's share of the permissiveness score.
+pub(crate) fn reg_permissiveness(r: &RegState) -> u64 {
     match r.typ {
         // NOT_INIT subsumes everything — the most permissive a
         // register can be.
@@ -265,17 +282,16 @@ fn reg_permissiveness(r: &RegState) -> u64 {
     }
 }
 
-/// One state stored at a prune point.
+/// A state stored at a prune-point visit, with the fingerprint taken
+/// there. The path-trace node made at the same visit shares it, so the
+/// loop scan and the explored scan recognize the same candidate by
+/// pointer identity.
 #[derive(Debug, Clone)]
 pub struct ExploredEntry {
-    /// The stored state, shared with the path-trace node created at the
-    /// same visit (so loop-scan and explored-scan can recognize the
-    /// same candidate by pointer identity).
-    pub state: Rc<VerifierState>,
-    /// Its fingerprint, computed once at push time.
+    /// The stored state.
+    pub state: VerifierState,
+    /// Its fingerprint and permissiveness score.
     pub shape: StateShape,
-    /// Cached [`permissiveness`] score for eviction ordering.
-    pub permissiveness: u64,
 }
 
 /// The per-prune-point explored-state index: insertion-ordered entries
@@ -283,8 +299,12 @@ pub struct ExploredEntry {
 /// whose discrete shape can possibly subsume the current state.
 #[derive(Debug, Clone, Default)]
 pub struct ExploredPoint {
-    entries: Vec<ExploredEntry>,
-    buckets: std::collections::HashMap<u64, Vec<usize>>,
+    entries: Vec<Rc<ExploredEntry>>,
+    /// `(bucket key, entry indices in scan order)`, one pair per key
+    /// that has entries.
+    buckets: Vec<(u64, Vec<usize>)>,
+    /// Index of the least permissive entry, the first one on ties.
+    least: usize,
 }
 
 impl ExploredPoint {
@@ -299,13 +319,16 @@ impl ExploredPoint {
     }
 
     /// All stored entries, oldest first.
-    pub fn entries(&self) -> &[ExploredEntry] {
+    pub fn entries(&self) -> &[Rc<ExploredEntry>] {
         &self.entries
     }
 
     /// Indices of the entries whose bucket key matches `bucket`.
     pub fn bucket_candidates(&self, bucket: u64) -> &[usize] {
-        self.buckets.get(&bucket).map_or(&[], |v| v.as_slice())
+        self.buckets
+            .iter()
+            .find(|(b, _)| *b == bucket)
+            .map_or(&[], |(_, v)| v.as_slice())
     }
 
     /// Stores `entry`, evicting the most specific resident state when
@@ -315,50 +338,59 @@ impl ExploredPoint {
     /// eviction (either direction) happened.
     ///
     /// Ties break on the lowest index (oldest entry), which keeps the
-    /// policy deterministic.
-    pub fn insert(&mut self, entry: ExploredEntry, cap: usize) -> bool {
+    /// policy deterministic. The least permissive entry is remembered,
+    /// so dropping the incoming state costs one comparison.
+    pub fn insert(&mut self, entry: Rc<ExploredEntry>, cap: usize) -> bool {
+        let score = entry.shape.permissiveness();
         if self.entries.len() < cap {
             let idx = self.entries.len();
-            self.buckets
-                .entry(entry.shape.bucket())
-                .or_default()
-                .push(idx);
+            if idx == 0 || score < self.entries[self.least].shape.permissiveness() {
+                self.least = idx;
+            }
+            self.bucket_push(entry.shape.bucket(), idx);
             self.entries.push(entry);
             return false;
         }
-        let (idx, most_specific) = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.permissiveness)
-            .expect("cap > 0");
-        if entry.permissiveness <= most_specific.permissiveness {
+        let idx = self.least;
+        if score <= self.entries[idx].shape.permissiveness() {
             // The incoming state admits no more than anything resident:
             // drop it instead.
             return true;
         }
         let old_bucket = self.entries[idx].shape.bucket();
-        if let Some(v) = self.buckets.get_mut(&old_bucket) {
+        if let Some(at) = self.buckets.iter().position(|(b, _)| *b == old_bucket) {
+            let v = &mut self.buckets[at].1;
             v.retain(|&i| i != idx);
             if v.is_empty() {
-                self.buckets.remove(&old_bucket);
+                self.buckets.swap_remove(at);
             }
         }
         // Entry indices are stable (in-place replacement), so the other
         // bucket vectors stay valid.
-        self.buckets
-            .entry(entry.shape.bucket())
-            .or_default()
-            .push(idx);
+        self.bucket_push(entry.shape.bucket(), idx);
         self.entries[idx] = entry;
+        self.least = self
+            .entries
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| e.shape.permissiveness())
+            .map(|(i, _)| i)
+            .expect("cap > 0");
         true
+    }
+
+    fn bucket_push(&mut self, bucket: u64, idx: usize) {
+        match self.buckets.iter_mut().find(|(b, _)| *b == bucket) {
+            Some((_, v)) => v.push(idx),
+            None => self.buckets.push((bucket, vec![idx])),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::StackSlot;
+    use crate::state::{StackByte, StackSlot};
 
     fn entry_state() -> VerifierState {
         VerifierState::entry()
@@ -373,14 +405,13 @@ mod tests {
         r
     }
 
-    fn entry(state: VerifierState) -> ExploredEntry {
+    fn entry(state: VerifierState) -> Rc<ExploredEntry> {
         let shape = StateShape::of(&state);
-        let permissiveness = permissiveness(&state);
-        ExploredEntry {
-            state: Rc::new(state),
-            shape,
-            permissiveness,
-        }
+        Rc::new(ExploredEntry { state, shape })
+    }
+
+    fn permissiveness(state: &VerifierState) -> u64 {
+        StateShape::of(state).permissiveness()
     }
 
     #[test]
@@ -414,10 +445,13 @@ mod tests {
     #[test]
     fn zero_slot_demands_zero_slot() {
         let mut old = entry_state();
-        old.cur_mut().stack_mut()[0] = StackSlot {
-            bytes: [StackByte::Zero; 8],
-            spilled: RegState::not_init(),
-        };
+        old.cur_mut().stack.set_slot(
+            0,
+            StackSlot {
+                bytes: [StackByte::Zero; 8],
+                spilled: RegState::not_init(),
+            },
+        );
         let cur = entry_state(); // slot 0 untouched (INVALID)
         assert!(!StateShape::of(&old).may_subsume(&StateShape::of(&cur)));
         // An old INVALID slot is a wildcard: admits the zeroed slot.
@@ -462,7 +496,11 @@ mod tests {
         }
         assert!(point.insert(entry(mid), 2));
         assert_eq!(point.len(), 2);
-        let scores: Vec<u64> = point.entries().iter().map(|e| e.permissiveness).collect();
+        let scores: Vec<u64> = point
+            .entries()
+            .iter()
+            .map(|e| e.shape.permissiveness())
+            .collect();
         assert!(scores.iter().all(|&s| s > permissiveness(&specific)));
         // A fully-specific incomer is dropped (still counts as an
         // eviction) and the residents survive.
@@ -475,10 +513,83 @@ mod tests {
             point
                 .entries()
                 .iter()
-                .map(|e| e.permissiveness)
+                .map(|e| e.shape.permissiveness())
                 .collect::<Vec<_>>(),
             scores
         );
+    }
+
+    #[test]
+    fn eviction_matches_a_full_scan() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        // The policy as a full scan on every insert: scores by index,
+        // and per bucket the entry indices in scan order.
+        #[derive(Default)]
+        struct Model {
+            scores: Vec<u64>,
+            buckets: HashMap<u64, Vec<usize>>,
+        }
+        impl Model {
+            fn insert(&mut self, score: u64, bucket: u64, cap: usize) {
+                let idx = if self.scores.len() < cap {
+                    self.scores.push(score);
+                    self.scores.len() - 1
+                } else {
+                    let (idx, &least) = self
+                        .scores
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, s)| **s)
+                        .expect("cap > 0");
+                    if score <= least {
+                        return;
+                    }
+                    self.scores[idx] = score;
+                    for v in self.buckets.values_mut() {
+                        v.retain(|&i| i != idx);
+                    }
+                    idx
+                };
+                self.buckets.entry(bucket).or_default().push(idx);
+            }
+        }
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let (mut point, mut model) = (ExploredPoint::default(), Model::default());
+            for _ in 0..40 {
+                // Few distinct scores, so ties are common; a held
+                // reference moves the state to another bucket.
+                let mut state = entry_state();
+                for i in 0..4 {
+                    state.cur_mut().regs[i] = match rng.gen_range(0..3) {
+                        0 => RegState::not_init(),
+                        1 => RegState::unknown_scalar(),
+                        _ => RegState::known_scalar(i as u64),
+                    };
+                }
+                if rng.gen_range(0..2) == 1 {
+                    state.acquire_ref(&mut 0, 0);
+                }
+                let e = entry(state);
+                let (score, bucket) = (e.shape.permissiveness(), e.shape.bucket());
+                let full = point.len() == 4;
+                let evicted = point.insert(e, 4);
+                model.insert(score, bucket, 4);
+                assert_eq!(evicted, full);
+                let scores: Vec<u64> = point
+                    .entries()
+                    .iter()
+                    .map(|e| e.shape.permissiveness())
+                    .collect();
+                assert_eq!(scores, model.scores);
+                for (b, v) in &model.buckets {
+                    assert_eq!(point.bucket_candidates(*b), v.as_slice());
+                }
+            }
+        }
     }
 
     #[test]

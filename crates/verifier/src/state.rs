@@ -1,12 +1,12 @@
 //! Verifier states: stack slots, function frames, and whole-path states.
 //!
-//! Frames and stacks live behind [`Rc`]-based copy-on-write: branching
-//! clones a `VerifierState` by bumping reference counts, and the first
-//! mutation through [`VerifierState::cur_mut`] /
-//! [`FuncState::stack_mut`] unshares only the touched frame (and only
-//! its stack when the stack itself is written). Untouched frames stay
-//! shared across the DFS worklist, the path trace, and the explored
-//! index.
+//! Frames live behind [`Rc`]-based copy-on-write: branching clones a
+//! `VerifierState` by bumping reference counts, and the first mutation
+//! through [`VerifierState::cur_mut`] unshares only the touched frame.
+//! A frame's [`Stack`] shares its byte kinds and its spilled registers
+//! the same way, and unshares each only when a write touches it.
+//! Untouched frames stay shared across the DFS worklist, the path
+//! trace, and the explored index.
 
 use std::rc::Rc;
 
@@ -15,10 +15,14 @@ use serde::{Deserialize, Serialize};
 use bvf_isa::reg::STACK_SIZE;
 use bvf_isa::Reg;
 
+use crate::shape::reg_permissiveness;
 use crate::types::{RegState, RegType};
 
 /// Number of 8-byte stack slots per frame.
 pub const STACK_SLOTS: usize = (STACK_SIZE as usize) / 8;
+
+/// Registers per frame: `R0`..`R10` plus the hidden `Ax`.
+pub const FRAME_REGS: usize = 12;
 
 /// Maximum call depth for bpf-to-bpf calls.
 pub const MAX_CALL_FRAMES: usize = 8;
@@ -36,7 +40,19 @@ pub enum StackByte {
     Zero,
 }
 
-/// One 8-byte stack slot.
+impl StackByte {
+    /// This byte's share of the permissiveness score: an unwritten byte
+    /// admits the most, a known one the least.
+    fn permissiveness(self) -> u64 {
+        match self {
+            StackByte::Invalid => 4,
+            StackByte::Misc => 2,
+            StackByte::Zero | StackByte::Spill => 0,
+        }
+    }
+}
+
+/// One 8-byte stack slot, as a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StackSlot {
     /// Per-byte classification; index 0 is the lowest address.
@@ -60,23 +76,220 @@ impl StackSlot {
     pub fn is_full_spill(&self) -> bool {
         self.bytes.iter().all(|b| *b == StackByte::Spill)
     }
+}
 
-    /// Whether every byte has been initialized somehow.
-    pub fn all_initialized(&self) -> bool {
-        self.bytes.iter().all(|b| *b != StackByte::Invalid)
+/// Fingerprint tag of a slot whose bytes are all [`StackByte::Zero`].
+pub const SLOT_TAG_ZERO: u64 = 0b01;
+/// Fingerprint tag of a slot that holds a full spill.
+pub const SLOT_TAG_SPILL: u64 = 0b10;
+
+/// One frame's 512-byte stack.
+///
+/// The byte kinds are packed one byte each (512 B) behind one [`Rc`],
+/// and the registers of the full-spill slots sit apart behind another,
+/// ascending by slot. So a write that spills nothing copies 0.5 KB of a
+/// shared stack, not the spilled registers.
+///
+/// Every write keeps two summaries current, so a prune-point visit
+/// reads them instead of walking the 64 slots:
+///
+/// - [`Stack::tags`]: two bits per slot for the state fingerprint,
+///   [`SLOT_TAG_ZERO`], [`SLOT_TAG_SPILL`], or `00` for anything else;
+/// - [`Stack::permissiveness`]: the stack's share of the eviction score,
+///   the sum of every byte's [`StackByte`] share plus, per full spill,
+///   an eighth of its register's score.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Stack {
+    /// Slot `i` covers bytes `[-8*(i+1), -8*i)` relative to the frame
+    /// pointer; byte 0 of a slot is its lowest address.
+    bytes: Rc<[[StackByte; 8]; STACK_SLOTS]>,
+    /// `(slot, register)` for exactly the full-spill slots, ascending.
+    spills: Rc<Vec<(usize, RegState)>>,
+    /// Two bits per slot, slot `i` at bit `2 * (i % 32)` of word `i / 32`.
+    tags: [u64; 2],
+    /// The stack's share of the permissiveness score.
+    score: u64,
+}
+
+impl Default for Stack {
+    fn default() -> Self {
+        Stack::new()
+    }
+}
+
+impl Stack {
+    /// An unwritten stack: every byte [`StackByte::Invalid`].
+    pub fn new() -> Stack {
+        Stack {
+            bytes: Rc::new([[StackByte::Invalid; 8]; STACK_SLOTS]),
+            spills: Rc::new(Vec::new()),
+            tags: [0; 2],
+            score: (STACK_SLOTS * 8) as u64 * StackByte::Invalid.permissiveness(),
+        }
+    }
+
+    /// The byte kinds of slot `i`.
+    pub fn bytes(&self, i: usize) -> [StackByte; 8] {
+        self.bytes[i]
+    }
+
+    /// The register spilled in slot `i`, when the slot is a full spill.
+    pub fn spilled(&self, i: usize) -> Option<&RegState> {
+        if !self.is_full_spill(i) {
+            return None;
+        }
+        self.spills.iter().find(|(s, _)| *s == i).map(|(_, r)| r)
+    }
+
+    /// Whether slot `i` holds one spilled register.
+    fn is_full_spill(&self, i: usize) -> bool {
+        self.tag(i) == SLOT_TAG_SPILL
+    }
+
+    /// Slot `i` as a value; its register is `NOT_INIT` unless the slot
+    /// is a full spill.
+    pub fn slot(&self, i: usize) -> StackSlot {
+        StackSlot {
+            bytes: self.bytes[i],
+            spilled: self.spilled(i).copied().unwrap_or_else(RegState::not_init),
+        }
+    }
+
+    /// The `(slot, register)` pairs of the full-spill slots, ascending.
+    pub fn spills(&self) -> &[(usize, RegState)] {
+        &self.spills
+    }
+
+    /// The fingerprint's two-bit slot tags.
+    pub fn tags(&self) -> [u64; 2] {
+        self.tags
+    }
+
+    /// The stack's share of the permissiveness score.
+    pub fn permissiveness(&self) -> u64 {
+        self.score
+    }
+
+    /// Whether both stacks share their bytes and spills, so each is
+    /// the other.
+    pub(crate) fn shares(&self, other: &Stack) -> bool {
+        self.shares_bytes(other) && Rc::ptr_eq(&self.spills, &other.spills)
+    }
+
+    /// Whether both stacks share their byte kinds (and so also which
+    /// slots are full spills).
+    pub(crate) fn shares_bytes(&self, other: &Stack) -> bool {
+        Rc::ptr_eq(&self.bytes, &other.bytes)
+    }
+
+    /// Replaces slot `i`. The register is kept only when all eight bytes
+    /// are [`StackByte::Spill`]; any other slot holds none.
+    pub fn set_slot(&mut self, i: usize, slot: StackSlot) {
+        let was_spill = self.is_full_spill(i);
+        let spill = slot.is_full_spill().then_some(slot.spilled);
+        self.score -= self.slot_score(i);
+        Rc::make_mut(&mut self.bytes)[i] = slot.bytes;
+        if was_spill || spill.is_some() {
+            let spills = Rc::make_mut(&mut self.spills);
+            let at = spills.partition_point(|(s, _)| *s < i);
+            match (was_spill, spill) {
+                (true, Some(r)) => spills[at].1 = r,
+                (true, None) => {
+                    spills.remove(at);
+                }
+                (false, Some(r)) => spills.insert(at, (i, r)),
+                (false, None) => unreachable!("guarded above"),
+            }
+        }
+        self.retag(i);
+        self.score += self.slot_score(i);
+    }
+
+    /// Marks byte `byte` of slot `i` written with arbitrary data. A full
+    /// spill there first becomes eight [`StackByte::Misc`] bytes, its
+    /// register lost.
+    pub fn write_misc_byte(&mut self, i: usize, byte: usize) {
+        let mut bytes = self.bytes[i];
+        if self.is_full_spill(i) {
+            bytes = [StackByte::Misc; 8];
+        }
+        bytes[byte] = StackByte::Misc;
+        self.set_slot(
+            i,
+            StackSlot {
+                bytes,
+                spilled: RegState::not_init(),
+            },
+        );
+    }
+
+    /// Whether some spilled register satisfies `pred`.
+    pub(crate) fn any_spill(&self, pred: impl Fn(&RegState) -> bool) -> bool {
+        self.spills.iter().any(|(_, r)| pred(r))
+    }
+
+    /// Applies `f` to every spilled register that satisfies `pred`.
+    pub(crate) fn update_spills(
+        &mut self,
+        pred: impl Fn(&RegState) -> bool,
+        mut f: impl FnMut(&mut RegState),
+    ) {
+        for (_, r) in Rc::make_mut(&mut self.spills).iter_mut() {
+            if pred(r) {
+                self.score -= reg_permissiveness(r) >> 3;
+                f(r);
+                self.score += reg_permissiveness(r) >> 3;
+            }
+        }
+    }
+
+    /// Resets every slot whose spilled register satisfies `pred` to
+    /// unwritten.
+    pub(crate) fn clear_spills(&mut self, pred: impl Fn(&RegState) -> bool) {
+        let hit: Vec<usize> = self
+            .spills
+            .iter()
+            .filter(|(_, r)| pred(r))
+            .map(|(s, _)| *s)
+            .collect();
+        for i in hit {
+            self.set_slot(i, StackSlot::default());
+        }
+    }
+
+    fn tag(&self, i: usize) -> u64 {
+        (self.tags[i / 32] >> ((i % 32) * 2)) & 0b11
+    }
+
+    /// Recomputes slot `i`'s fingerprint tag from its bytes.
+    fn retag(&mut self, i: usize) {
+        let bytes = &self.bytes[i];
+        let tag = if *bytes == [StackByte::Zero; 8] {
+            SLOT_TAG_ZERO
+        } else if *bytes == [StackByte::Spill; 8] {
+            SLOT_TAG_SPILL
+        } else {
+            0
+        };
+        let shift = (i % 32) * 2;
+        self.tags[i / 32] = (self.tags[i / 32] & !(0b11 << shift)) | (tag << shift);
+    }
+
+    /// Slot `i`'s share of the permissiveness score.
+    fn slot_score(&self, i: usize) -> u64 {
+        let bytes: u64 = self.bytes[i].iter().map(|b| b.permissiveness()).sum();
+        bytes + self.spilled(i).map_or(0, |r| reg_permissiveness(r) >> 3)
     }
 }
 
 /// State of one call frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuncState {
     /// Register states, indexed by register number (includes `Ax`).
-    pub regs: Vec<RegState>,
-    /// Stack slots; slot `i` covers bytes `[-8*(i+1), -8*i)` relative to
-    /// the frame pointer. Copy-on-write: reads go through `Deref`,
-    /// writes through [`FuncState::stack_mut`], so cloning a frame that
-    /// never touches its stack shares the 64-slot vector.
-    pub stack: Rc<Vec<StackSlot>>,
+    /// Inline, so copying a shared frame is a single allocation.
+    pub regs: [RegState; FRAME_REGS],
+    /// The frame's stack, copy-on-write on its own.
+    pub stack: Stack,
     /// Instruction index to return to (caller's call insn + 1); 0 for the
     /// main frame.
     pub callsite: usize,
@@ -88,8 +301,8 @@ impl FuncState {
     /// A fresh frame with all registers uninitialized.
     pub fn new(subprog_start: usize, callsite: usize) -> FuncState {
         FuncState {
-            regs: vec![RegState::not_init(); 12],
-            stack: Rc::new(vec![StackSlot::default(); STACK_SLOTS]),
+            regs: [RegState::not_init(); FRAME_REGS],
+            stack: Stack::new(),
             callsite,
             subprog_start,
         }
@@ -111,12 +324,6 @@ impl FuncState {
     /// Mutable access to a register state.
     pub fn reg_mut(&mut self, r: Reg) -> &mut RegState {
         &mut self.regs[r.index()]
-    }
-
-    /// Mutable access to the stack slots, unsharing them first if the
-    /// vector is shared with another state (copy-on-write).
-    pub fn stack_mut(&mut self) -> &mut Vec<StackSlot> {
-        Rc::make_mut(&mut self.stack)
     }
 
     /// Converts a frame-pointer-relative offset to `(slot, byte)` indices.
@@ -150,7 +357,7 @@ pub struct RefState {
 }
 
 /// Full verifier state for one explored path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerifierState {
     /// Call frames; the last one is current. Copy-on-write: cloning a
     /// state bumps refcounts, and [`VerifierState::cur_mut`] unshares
@@ -201,26 +408,21 @@ impl VerifierState {
         if released {
             // Invalidate every register (in all frames) that held it,
             // unsharing only the frames that actually change.
+            let holds = |r: &RegState| r.ref_obj_id == id;
             for frame in &mut self.frames {
-                let regs_hit = frame.regs.iter().any(|r| r.ref_obj_id == id);
-                let stack_hit = frame.stack.iter().any(|s| s.spilled.ref_obj_id == id);
+                let regs_hit = frame.regs.iter().any(holds);
+                let stack_hit = frame.stack.any_spill(holds);
                 if !regs_hit && !stack_hit {
                     continue;
                 }
                 let frame = Rc::make_mut(frame);
-                if regs_hit {
-                    for r in &mut frame.regs {
-                        if r.ref_obj_id == id {
-                            *r = RegState::not_init();
-                        }
+                for r in &mut frame.regs {
+                    if holds(r) {
+                        *r = RegState::not_init();
                     }
                 }
                 if stack_hit {
-                    for s in frame.stack_mut() {
-                        if s.spilled.ref_obj_id == id {
-                            *s = StackSlot::default();
-                        }
-                    }
+                    frame.stack.clear_spills(holds);
                 }
             }
         }
@@ -233,27 +435,21 @@ impl VerifierState {
         if id == 0 {
             return;
         }
+        let shares = |r: &RegState| r.id == id;
         for frame in &mut self.frames {
-            let regs_hit = frame.regs.iter().any(|r| r.id == id);
-            let stack_hit = frame
-                .stack
-                .iter()
-                .any(|s| s.is_full_spill() && s.spilled.id == id);
+            let regs_hit = frame.regs.iter().any(shares);
+            let stack_hit = frame.stack.any_spill(shares);
             if !regs_hit && !stack_hit {
                 continue;
             }
             let frame = Rc::make_mut(frame);
             for r in &mut frame.regs {
-                if r.id == id {
+                if shares(r) {
                     f(r);
                 }
             }
             if stack_hit {
-                for s in frame.stack_mut() {
-                    if s.is_full_spill() && s.spilled.id == id {
-                        f(&mut s.spilled);
-                    }
-                }
+                frame.stack.update_spills(shares, &mut f);
             }
         }
     }
@@ -304,10 +500,13 @@ mod tests {
         r.maybe_null = true;
         r.id = 7;
         *st.cur_mut().reg_mut(Reg::R3) = r;
-        st.cur_mut().stack_mut()[0] = StackSlot {
-            bytes: [StackByte::Spill; 8],
-            spilled: r,
-        };
+        st.cur_mut().stack.set_slot(
+            0,
+            StackSlot {
+                bytes: [StackByte::Spill; 8],
+                spilled: r,
+            },
+        );
         let mut count = 0;
         st.for_each_reg_with_id(7, |reg| {
             reg.maybe_null = false;
@@ -315,7 +514,7 @@ mod tests {
         });
         assert_eq!(count, 2);
         assert!(!st.cur().reg(Reg::R3).maybe_null);
-        assert!(!st.cur().stack[0].spilled.maybe_null);
+        assert!(!st.cur().stack.spilled(0).unwrap().maybe_null);
     }
 
     #[test]
@@ -330,11 +529,16 @@ mod tests {
         );
         assert_eq!(b.cur().reg(Reg::R0).id, 0, "reader unaffected");
         // A register write leaves the stack itself shared…
-        assert!(Rc::ptr_eq(&a.frames[0].stack, &b.frames[0].stack));
-        // …until the stack is written.
-        a.cur_mut().stack_mut()[0].bytes[0] = StackByte::Misc;
-        assert!(!Rc::ptr_eq(&a.frames[0].stack, &b.frames[0].stack));
-        assert_eq!(b.cur().stack[0].bytes[0], StackByte::Invalid);
+        assert!(a.frames[0].stack.shares(&b.frames[0].stack));
+        // …until the stack is written, and a write that spills nothing
+        // leaves the spilled registers shared.
+        a.cur_mut().stack.write_misc_byte(0, 0);
+        assert!(!a.frames[0].stack.shares_bytes(&b.frames[0].stack));
+        assert!(Rc::ptr_eq(
+            &a.frames[0].stack.spills,
+            &b.frames[0].stack.spills
+        ));
+        assert_eq!(b.cur().stack.bytes(0)[0], StackByte::Invalid);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::errors::{RejectReason, VerifierError, VerifierPhase};
 use std::rc::Rc;
 
 use crate::prune::states_equal;
-use crate::shape::{permissiveness, ExploredEntry, StateShape};
+use crate::shape::{ExploredEntry, ExploredPoint, StateShape};
 use crate::state::{FuncState, VerifierState, MAX_CALL_FRAMES};
 use crate::types::{RegState, RegType};
 use bvf_telemetry::profile::elapsed_ns;
@@ -29,12 +29,11 @@ const MAX_STATES_PER_POINT: usize = 32;
 /// own ancestors, the loop can make no progress.
 struct PathNode {
     pc: usize,
-    /// Shared with the explored-index entry created at the same visit,
-    /// so the loop scan and the explored scan can recognize the same
-    /// candidate by `Rc` pointer identity and never compare it twice.
-    state: Rc<VerifierState>,
-    /// The state's structural fingerprint, computed once at push time.
-    shape: StateShape,
+    /// The state and fingerprint of this visit, shared with the
+    /// explored-index entry created at the same visit, so the loop scan
+    /// and the explored scan can recognize the same candidate by `Rc`
+    /// pointer identity and never compare it twice.
+    visit: Rc<ExploredEntry>,
     parent: Option<Rc<PathNode>>,
 }
 
@@ -119,8 +118,9 @@ impl<'a> Verifier<'a> {
             .in_phase(VerifierPhase::Structure));
         }
         // Pass 0: structural checks (decode validity, jump targets,
-        // register ranges, proper ending), then pass 1: discover
-        // subprograms and prune points. Timed together as "structure",
+        // register ranges, proper ending), then pass 1: decode each
+        // instruction once for the walk and discover subprograms and
+        // prune points. Timed together as "structure",
         // with the phase recorded before `?` so rejected loads keep it.
         let t0 = Instant::now();
         let structure = bvf_isa::validate_structure(&self.prog)
@@ -136,10 +136,7 @@ impl<'a> Verifier<'a> {
                 };
                 VerifierError::invalid(reason, 0, e.to_string()).in_phase(VerifierPhase::Structure)
             })
-            .and_then(|starts| {
-                self.insn_starts = starts;
-                self.scan_structure()
-            });
+            .and_then(|_| self.scan_structure());
         self.timings.structure_ns = elapsed_ns(t0);
         structure?;
 
@@ -149,7 +146,7 @@ impl<'a> Verifier<'a> {
         self.timings.do_check_ns = elapsed_ns(t0);
         // Index occupancy, recorded for accepted and rejected loads
         // alike (the counters are observational).
-        for point in self.explored.values() {
+        for point in &self.explored {
             if !point.is_empty() {
                 self.timings.prune.points += 1;
                 self.timings.prune.states_stored += point.len() as u64;
@@ -193,9 +190,13 @@ impl<'a> Verifier<'a> {
         let n = self.prog.insn_count();
         let mut in_degree = vec![0u32; n];
         let mut back_target = vec![false; n];
+        self.decoded = vec![None; n];
+        self.prune_points = vec![false; n];
+        self.explored = vec![ExploredPoint::default(); n];
         let mut pc = 0;
         while pc < n {
             let (kind, slots) = self.prog.decode_at(pc).expect("validated");
+            self.decoded[pc] = Some((kind, slots));
             match kind {
                 InsnKind::JmpCond { off, .. } => {
                     let target = (pc as i64 + 1 + off as i64) as usize;
@@ -212,7 +213,7 @@ impl<'a> Verifier<'a> {
                 } => {
                     let target = (pc as i64 + 1 + off as i64) as usize;
                     self.subprog_starts.insert(target);
-                    self.prune_points.insert(target);
+                    self.prune_points[target] = true;
                     self.cov.hit(Cat::Subprog, 0, 0);
                     // Control flows back here from the callee's exits;
                     // the return site can join other flows.
@@ -226,7 +227,7 @@ impl<'a> Verifier<'a> {
         }
         for v in 0..n {
             if in_degree[v] >= 2 || back_target[v] {
-                self.prune_points.insert(v);
+                self.prune_points[v] = true;
             }
         }
         Ok(())
@@ -250,19 +251,19 @@ impl<'a> Verifier<'a> {
                         ),
                     ));
                 }
-                if pc >= self.prog.insn_count() || !self.insn_starts[pc] {
+                let Some((kind, slots)) = self.decoded.get(pc).copied().flatten() else {
                     self.cov.hit(Cat::Error, 3, 0);
                     return Err(VerifierError::invalid(
                         RejectReason::FellOffEnd,
                         pc,
                         "fell off the end of program",
                     ));
-                }
+                };
 
                 // Loop detection, then pruning. The whole block is billed
                 // to `prune_ns` (a subset of `do_check_ns`), so each of
                 // its three exits records the elapsed time first.
-                if self.prune_points.contains(&pc) {
+                if self.prune_points[pc] {
                     let prune_t0 = Instant::now();
                     let use_index = self.opts.prune_index;
                     let cur_shape = StateShape::of(&state);
@@ -276,7 +277,7 @@ impl<'a> Verifier<'a> {
                     // visit. The fingerprint filter only skips
                     // comparisons that must return false, so the
                     // verdict is identical with the index off.
-                    let mut ancestors_compared: Vec<*const VerifierState> = Vec::new();
+                    let mut ancestors_compared: Vec<*const ExploredEntry> = Vec::new();
                     let mut node = trace.as_ref();
                     let mut scanned = 0;
                     let mut candidates = 0;
@@ -287,11 +288,11 @@ impl<'a> Verifier<'a> {
                         }
                         if n.pc == pc {
                             candidates += 1;
-                            if use_index && !n.shape.may_subsume(&cur_shape) {
+                            if use_index && !n.visit.shape.may_subsume(&cur_shape) {
                                 self.timings.prune.fingerprint_filtered += 1;
                             } else {
                                 self.timings.prune.states_equal_calls += 1;
-                                if states_equal(&n.state, &state) {
+                                if states_equal(&n.visit.state, &state) {
                                     self.cov.hit(Cat::Error, 16, 0);
                                     self.timings.prune_ns += elapsed_ns(prune_t0);
                                     return Err(VerifierError::invalid(
@@ -300,7 +301,7 @@ impl<'a> Verifier<'a> {
                                         format!("infinite loop detected at insn {pc}"),
                                     ));
                                 }
-                                ancestors_compared.push(Rc::as_ptr(&n.state));
+                                ancestors_compared.push(Rc::as_ptr(&n.visit));
                             }
                         }
                         node = n.parent.as_ref();
@@ -311,7 +312,7 @@ impl<'a> Verifier<'a> {
                     // states_equal; "any candidate subsumes" is
                     // order-insensitive, so both modes reach the same
                     // prune decision.
-                    let point = self.explored.entry(pc).or_default();
+                    let point = &mut self.explored[pc];
                     let total = point.len() as u64;
                     let mut calls = 0u64;
                     let mut shared = 0u64;
@@ -322,7 +323,7 @@ impl<'a> Verifier<'a> {
                             if !e.shape.may_subsume(&cur_shape) {
                                 continue;
                             }
-                            if ancestors_compared.contains(&Rc::as_ptr(&e.state)) {
+                            if ancestors_compared.contains(&Rc::as_ptr(e)) {
                                 shared += 1;
                                 continue;
                             }
@@ -334,7 +335,7 @@ impl<'a> Verifier<'a> {
                         }
                     } else {
                         for e in point.entries() {
-                            if ancestors_compared.contains(&Rc::as_ptr(&e.state)) {
+                            if ancestors_compared.contains(&Rc::as_ptr(e)) {
                                 shared += 1;
                                 continue;
                             }
@@ -357,25 +358,19 @@ impl<'a> Verifier<'a> {
                         break 'path;
                     }
                     self.cov.hit(Cat::Prune, 0, 0);
-                    // One shared copy feeds both the explored index and
+                    // One shared visit feeds both the explored index and
                     // the path trace — that sharing is what lets the two
                     // scans recognize each other's candidates.
-                    let shared_state = Rc::new(state.clone());
-                    let evicted = point.insert(
-                        ExploredEntry {
-                            state: Rc::clone(&shared_state),
-                            shape: cur_shape.clone(),
-                            permissiveness: permissiveness(&state),
-                        },
-                        MAX_STATES_PER_POINT,
-                    );
-                    if evicted {
+                    let visit = Rc::new(ExploredEntry {
+                        state: state.clone(),
+                        shape: cur_shape,
+                    });
+                    if point.insert(Rc::clone(&visit), MAX_STATES_PER_POINT) {
                         self.timings.prune.evictions += 1;
                     }
                     trace = Some(Rc::new(PathNode {
                         pc,
-                        state: shared_state,
-                        shape: cur_shape,
+                        visit,
                         parent: trace.take(),
                     }));
                     self.timings.prune_ns += elapsed_ns(prune_t0);
@@ -388,7 +383,6 @@ impl<'a> Verifier<'a> {
                     self.snapshots.record(pc, &state);
                 }
 
-                let (kind, slots) = self.prog.decode_at(pc).expect("validated");
                 self.cov
                     .hit(Cat::InsnClass, self.prog.insns()[pc].code as u32 & 0x07, 0);
                 self.logln(|| format!("{pc}: {}", bvf_isa::disasm::format_insn(pc, &kind)));
@@ -595,7 +589,7 @@ impl<'a> Verifier<'a> {
                 format!("the call stack of {MAX_CALL_FRAMES} frames is too deep"),
             ));
         }
-        if target >= self.prog.insn_count() || !self.insn_starts[target] {
+        if self.decoded.get(target).copied().flatten().is_none() {
             self.cov.hit(Cat::Error, 11, 0);
             return Err(VerifierError::invalid(
                 RejectReason::BadCallTarget,

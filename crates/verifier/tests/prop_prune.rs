@@ -12,9 +12,10 @@
 //! holds for *every* pair of states — a single counterexample would mean
 //! the index can suppress a legitimate prune and change exploration.
 //! The first property fuzzes exactly that implication over arbitrary
-//! state pairs.
+//! state pairs, and a second over related pairs, which are subsumed
+//! often enough that the implication cannot hold vacuously.
 //!
-//! The second property checks the same fact end to end: verifying a
+//! The last property checks the same fact end to end: verifying a
 //! random program with the index on and off must produce the identical
 //! verdict, instruction count, and coverage — the index may only change
 //! how many comparisons run, never their outcome.
@@ -25,7 +26,7 @@ use bvf_isa::{asm, AluOp, JmpOp, Program, Reg, Size};
 use bvf_kernel_sim::progtype::ProgType;
 use bvf_kernel_sim::{BugSet, Kernel};
 use bvf_verifier::prune::states_equal;
-use bvf_verifier::state::{FuncState, StackByte, StackSlot, VerifierState};
+use bvf_verifier::state::{FuncState, StackByte, StackSlot, VerifierState, STACK_SLOTS};
 use bvf_verifier::types::{RegState, RegType};
 use bvf_verifier::{verify, StateShape, VerifierOpts};
 use proptest::prelude::*;
@@ -94,25 +95,37 @@ fn arb_slot() -> impl Strategy<Value = StackSlot> {
     ]
 }
 
+/// A known constant from a small domain: two states often hold the same
+/// constant, or constants that differ only above the low byte, so the
+/// fingerprint's first check (equal low bytes of old constants) meets
+/// both outcomes.
+fn arb_const() -> impl Strategy<Value = RegState> {
+    (0u64..2, 0u64..2).prop_map(|(hi, lo)| RegState::known_scalar(hi << 8 | lo))
+}
+
 /// An arbitrary verifier state: 1–2 call frames, randomized registers,
-/// a few randomized stack slots, and 0–1 acquired references.
+/// a few of them small known constants, randomized stack slots anywhere
+/// in the 64, and 0–1 acquired references.
 fn arb_state() -> impl Strategy<Value = VerifierState> {
     (
         proptest::collection::vec(arb_reg(), 10),
-        proptest::collection::vec(arb_slot(), 4),
+        proptest::collection::vec((0usize..10, arb_const()), 0..6),
+        proptest::collection::vec((0usize..STACK_SLOTS, arb_slot()), 0..12),
         0usize..2,
         0usize..2,
     )
-        .prop_map(|(regs, slots, extra_frames, refs)| {
+        .prop_map(|(regs, consts, slots, extra_frames, refs)| {
             let mut state = VerifierState::entry();
             {
                 let frame = state.cur_mut();
                 for (i, r) in regs.into_iter().enumerate() {
                     frame.regs[i] = r;
                 }
-                let stack = frame.stack_mut();
-                for (i, s) in slots.into_iter().enumerate() {
-                    stack[i] = s;
+                for (i, r) in consts {
+                    frame.regs[i] = r;
+                }
+                for (i, s) in slots {
+                    frame.stack.set_slot(i, s);
                 }
             }
             for i in 0..extra_frames {
@@ -126,6 +139,46 @@ fn arb_state() -> impl Strategy<Value = VerifierState> {
         })
 }
 
+/// A pair of states where `cur` is `old` with a few registers and stack
+/// slots of its current frame rewritten. Unlike two independent states,
+/// such a pair is often subsumed, which tests the implication in its
+/// non-vacuous direction.
+fn arb_related_pair() -> impl Strategy<Value = (VerifierState, VerifierState)> {
+    (
+        arb_state(),
+        proptest::collection::vec((0usize..10, arb_reg()), 0..3),
+        proptest::collection::vec((0usize..10, arb_const()), 0..3),
+        proptest::collection::vec((0usize..STACK_SLOTS, arb_slot()), 0..3),
+    )
+        .prop_map(|(old, regs, consts, slots)| {
+            let mut cur = old.clone();
+            let frame = cur.cur_mut();
+            for (i, r) in regs.into_iter().chain(consts) {
+                frame.regs[i] = r;
+            }
+            for (i, s) in slots {
+                frame.stack.set_slot(i, s);
+            }
+            (old, cur)
+        })
+}
+
+/// The implication under test, for one pair.
+fn assert_filter_admits_subsumed(old: &VerifierState, cur: &VerifierState) -> bool {
+    let so = StateShape::of(old);
+    let sc = StateShape::of(cur);
+    let equal = states_equal(old, cur);
+    if equal {
+        assert_eq!(
+            so.bucket(),
+            sc.bucket(),
+            "equal states landed in different buckets"
+        );
+        assert!(so.may_subsume(&sc), "fingerprint rejected a subsuming pair");
+    }
+    equal
+}
+
 proptest! {
 
     /// The load-bearing implication: whenever the full comparison says
@@ -137,14 +190,7 @@ proptest! {
         old in arb_state(),
         cur in arb_state(),
     ) {
-        let so = StateShape::of(&old);
-        let sc = StateShape::of(&cur);
-        if states_equal(&old, &cur) {
-            prop_assert_eq!(so.bucket(), sc.bucket(),
-                "equal states landed in different buckets");
-            prop_assert!(so.may_subsume(&sc),
-                "fingerprint rejected a subsuming pair");
-        }
+        assert_filter_admits_subsumed(&old, &cur);
     }
 
     /// A state always subsumes itself, and its fingerprint must agree.
@@ -154,6 +200,28 @@ proptest! {
         let s = StateShape::of(&state);
         prop_assert!(s.may_subsume(&s));
     }
+}
+
+/// The same implication over related pairs, which are subsumed often
+/// enough that it cannot hold vacuously: both outcomes must occur.
+#[test]
+fn fingerprint_admits_subsumed_related_pairs() {
+    let mut rng = <proptest::TestRng as rand::SeedableRng>::seed_from_u64(0x5eed);
+    let pairs = arb_related_pair();
+    let (mut equal, mut unequal) = (0, 0);
+    for _ in 0..2_000 {
+        let (old, cur) = pairs.sample(&mut rng);
+        if assert_filter_admits_subsumed(&old, &cur) {
+            equal += 1;
+        } else {
+            unequal += 1;
+        }
+    }
+    assert!(equal >= 100, "only {equal} of 2000 related pairs subsumed");
+    assert!(
+        unequal >= 100,
+        "only {unequal} of 2000 related pairs not subsumed"
+    );
 }
 
 /// Instruction soup for the end-to-end property: ALU ops, bounded
