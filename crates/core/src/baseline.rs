@@ -411,6 +411,7 @@ pub fn alu_jmp_fraction(prog: &Program) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::assert_structurally_valid;
     use rand::SeedableRng;
 
     #[test]
@@ -437,12 +438,7 @@ mod tests {
     fn buzzer_alujmp_is_structurally_valid() {
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..100 {
-            let s = buzzer_alujmp_generate(&mut rng);
-            assert!(
-                bvf_isa::validate_structure(&s.prog).is_ok(),
-                "{}",
-                s.prog.dump()
-            );
+            assert_structurally_valid(&buzzer_alujmp_generate(&mut rng));
         }
     }
 
@@ -465,18 +461,8 @@ mod tests {
     fn steering_shapes_are_structurally_valid() {
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..100 {
-            let a = shape_minimal_generate(&mut rng);
-            let b = shape_memsafe_generate(&mut rng);
-            assert!(
-                bvf_isa::validate_structure(&a.prog).is_ok(),
-                "{}",
-                a.prog.dump()
-            );
-            assert!(
-                bvf_isa::validate_structure(&b.prog).is_ok(),
-                "{}",
-                b.prog.dump()
-            );
+            assert_structurally_valid(&shape_minimal_generate(&mut rng));
+            assert_structurally_valid(&shape_memsafe_generate(&mut rng));
         }
     }
 }

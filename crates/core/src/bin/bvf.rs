@@ -120,6 +120,7 @@ use bvf::scenario::{run, RunConfig, Sanitation, Scenario};
 use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
+use bvf_runtime::ExecScratch;
 use bvf_telemetry::{JsonlSink, NullSink, Telemetry, TraceEvent, TraceSink};
 use bvf_verifier::{KernelVersion, RejectReason};
 
@@ -851,13 +852,16 @@ fn cmd_replay(args: &Args, path: &str) {
         scenario.trigger,
         scenario.prog.dump()
     );
-    let out = run(&scenario, &cfg, None);
+    let out = run(&scenario, &cfg, &mut ExecScratch::new());
     match &out.load {
         Ok(_) => println!(
             "verifier: ACCEPTED ({} insns processed)",
             out.verifier_insns
         ),
-        Err(e) => println!("verifier: REJECTED — {e}"),
+        Err(e) => println!(
+            "verifier: REJECTED ({} insns processed) — {e}",
+            out.verifier_insns
+        ),
     }
     if out.attach_rejected {
         println!("attach: REFUSED");

@@ -1128,7 +1128,7 @@ impl CampaignWorker {
             });
         }
 
-        let outcome = run(&scenario, &self.run, Some(scratch));
+        let outcome = run(&scenario, &self.run, scratch);
         if let Some(s) = shape {
             self.shape_stats.generated[s.index()] += 1;
         }
@@ -1150,7 +1150,7 @@ impl CampaignWorker {
                     .record(&format!("reject.depth.{reason}"), depth);
             }
         }
-        outcome.timings.record_into(&mut tel.registry, "verify");
+        outcome.timings.record_into(&mut tel.registry);
 
         // Coverage feedback: keep programs that exercised verifier logic
         // new to this batch's view (seed ∪ local delta). Membership

@@ -1178,6 +1178,27 @@ fn pick<'a, T>(rng: &mut StdRng, xs: &'a [T]) -> &'a T {
     &xs[rng.gen_range(0..xs.len())]
 }
 
+/// Asserts that the verifier's structural pass accepts `s`'s program:
+/// the load may still be rejected, but not in phase `Structure`.
+#[cfg(test)]
+pub(crate) fn assert_structurally_valid(s: &Scenario) {
+    let kernel = bvf_kernel_sim::Kernel::new(bvf_kernel_sim::BugSet::none());
+    let out = bvf_verifier::verify(
+        &kernel,
+        &s.prog,
+        s.prog_type,
+        &bvf_verifier::VerifierOpts::default(),
+    );
+    if let Err(e) = out.result {
+        assert_ne!(
+            e.phase,
+            bvf_verifier::VerifierPhase::Structure,
+            "structural error: {e}\n{}",
+            s.prog.dump()
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1188,9 +1209,7 @@ mod tests {
         let g = StructuredGen::new(GenConfig::default());
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..300 {
-            let s = g.generate(&mut rng);
-            bvf_isa::validate_structure(&s.prog)
-                .unwrap_or_else(|e| panic!("structural error: {e}\n{}", s.prog.dump()));
+            assert_structurally_valid(&g.generate(&mut rng));
         }
     }
 

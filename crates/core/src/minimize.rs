@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use bvf_isa::{asm, Program};
+use bvf_runtime::ExecScratch;
 
 use crate::fuzz::report_signature;
 use crate::oracle::judge;
@@ -121,7 +122,8 @@ pub fn minimize(
     jobs: usize,
 ) -> Result<MinimizeOutcome, String> {
     let signature_of = |s: &Scenario| -> Option<String> {
-        judge(s, &run(s, cfg, None)).map(|f| report_signature(f.indicator, &f.reports))
+        judge(s, &run(s, cfg, &mut ExecScratch::new()))
+            .map(|f| report_signature(f.indicator, &f.reports))
     };
     let jobs = jobs.max(1);
     let Some(target) = signature_of(scenario) else {
@@ -247,7 +249,7 @@ mod tests {
         assert_eq!(min_insns[0], ja, "leading junk mov must be neutralized");
 
         // Replaying the minimized scenario reproduces the signature.
-        let replay = run(&out.scenario, &cfg, None);
+        let replay = run(&out.scenario, &cfg, &mut ExecScratch::new());
         let f = judge(&out.scenario, &replay).expect("minimized finding must reproduce");
         assert_eq!(report_signature(f.indicator, &f.reports), out.signature);
     }
@@ -286,7 +288,7 @@ mod tests {
 
         // Replaying the minimized scenario under the same configuration
         // reproduces the signature (the property CI pins end to end).
-        let replay = run(&serial.scenario, &cfg, None);
+        let replay = run(&serial.scenario, &cfg, &mut ExecScratch::new());
         let f = judge(&serial.scenario, &replay).expect("minimized finding reproduces");
         assert_eq!(report_signature(f.indicator, &f.reports), serial.signature);
     }

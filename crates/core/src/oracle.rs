@@ -21,6 +21,7 @@
 use serde::{Deserialize, Serialize};
 
 use bvf_kernel_sim::{BugId, KernelReport, ReportOrigin, SanDefect, SanDefectSet};
+use bvf_runtime::ExecScratch;
 
 use crate::scenario::{run, RunConfig, Sanitation, Scenario, ScenarioOutcome};
 
@@ -137,11 +138,12 @@ pub fn triage(finding: &Finding, cfg: &RunConfig) -> Vec<BugId> {
         (false, Sanitation::Dual(_)) => Sanitation::On,
         (false, single) => single,
     };
+    let mut scratch = ExecScratch::new();
     let mut culprits = Vec::new();
     for bug in cfg.bugs.iter() {
         replay.bugs = cfg.bugs.clone();
         replay.bugs.disable(bug);
-        let outcome = run(&finding.scenario, &replay, None);
+        let outcome = run(&finding.scenario, &replay, &mut scratch);
         let still_finds = outcome.accepted()
             && if san {
                 outcome.reports.iter().any(is_san_divergence)
@@ -171,13 +173,14 @@ pub fn triage_san_defects(finding: &Finding, cfg: &RunConfig) -> Vec<SanDefect> 
     let Sanitation::Dual(armed) = cfg.sanitation else {
         return Vec::new();
     };
-    let diverged = |defects: SanDefectSet| {
+    let mut scratch = ExecScratch::new();
+    let mut diverged = |defects: SanDefectSet| {
         let replay = RunConfig {
             sanitation: Sanitation::Dual(defects),
             diff_oracle: false,
             ..cfg.clone()
         };
-        run(&finding.scenario, &replay, None)
+        run(&finding.scenario, &replay, &mut scratch)
             .reports
             .iter()
             .any(is_san_divergence)
@@ -246,7 +249,7 @@ mod tests {
     fn judge_and_triage_bug1() {
         let cfg = RunConfig::new(BugSet::all());
         let s = bug1_scenario();
-        let out = run(&s, &cfg, None);
+        let out = run(&s, &cfg, &mut ExecScratch::new());
         let finding = judge(&s, &out).expect("bug1 program must be flagged");
         assert_eq!(finding.indicator, Indicator::One);
         let culprits = triage(&finding, &cfg);
@@ -256,7 +259,7 @@ mod tests {
     #[test]
     fn judge_ignores_rejected_programs() {
         let s = bug1_scenario();
-        let out = run(&s, &RunConfig::new(BugSet::none()), None);
+        let out = run(&s, &RunConfig::new(BugSet::none()), &mut ExecScratch::new());
         assert!(!out.accepted());
         assert!(judge(&s, &out).is_none());
     }
@@ -267,7 +270,7 @@ mod tests {
             Program::from_insns(vec![asm::mov64_imm(Reg::R0, 0), asm::exit()]),
             ProgType::SocketFilter,
         );
-        let out = run(&s, &RunConfig::new(BugSet::all()), None);
+        let out = run(&s, &RunConfig::new(BugSet::all()), &mut ExecScratch::new());
         assert!(out.accepted());
         assert!(judge(&s, &out).is_none());
     }

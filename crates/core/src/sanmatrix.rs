@@ -18,6 +18,7 @@
 
 use bvf_isa::Program;
 use bvf_kernel_sim::{KernelReport, SanDefect, SanDefectSet, SanDivergenceKind};
+use bvf_runtime::ExecScratch;
 use bvf_sancheck::{matrix_cases, MatrixCase};
 use bvf_verifier::KernelVersion;
 
@@ -114,8 +115,9 @@ pub fn run_matrix_case(case: &MatrixCase, version: KernelVersion) -> MatrixCaseR
         ..armed.clone()
     };
     let scenario = case_scenario(case);
-    let kind_armed = divergence_kind(&run(&scenario, &armed, None));
-    let kind_healed = divergence_kind(&run(&scenario, &healed, None));
+    let mut scratch = ExecScratch::new();
+    let kind_armed = divergence_kind(&run(&scenario, &armed, &mut scratch));
+    let kind_healed = divergence_kind(&run(&scenario, &healed, &mut scratch));
     MatrixCaseResult {
         defect: case.defect,
         diverged_armed: kind_armed.is_some(),
@@ -180,7 +182,7 @@ mod tests {
                 sanitation: Sanitation::Dual(SanDefectSet::none()),
                 ..case_config(&case, KernelVersion::BpfNext)
             };
-            let out = run(&case_scenario(&case), &cfg, None);
+            let out = run(&case_scenario(&case), &cfg, &mut ExecScratch::new());
             assert!(
                 out.accepted(),
                 "{} reproducer must load",
@@ -206,8 +208,8 @@ mod tests {
             .expect("matrix ships a scratch-clobber case");
         let scenario = case_scenario(&case);
         let cfg = case_config(&case, KernelVersion::BpfNext);
-        let finding =
-            judge(&scenario, &run(&scenario, &cfg, None)).expect("armed run must diverge");
+        let finding = judge(&scenario, &run(&scenario, &cfg, &mut ExecScratch::new()))
+            .expect("armed run must diverge");
         assert_eq!(
             triage_san_defects(&finding, &cfg),
             vec![SanDefect::ScratchClobber]

@@ -15,7 +15,7 @@ use bvf_kernel_sim::progtype::ProgType;
 use bvf_kernel_sim::report::SanDivergenceKind;
 use bvf_kernel_sim::tracepoint::{AttachPoint, Tracepoint};
 use bvf_kernel_sim::{BugSet, KernelReport, SanDefectSet};
-use bvf_runtime::{Bpf, BpfError, ExecScratch, ExecTrace, HaltReason};
+use bvf_runtime::{Bpf, BpfError, ExecScratch, HaltReason};
 use bvf_sancheck::{RunView, SanStats};
 use bvf_telemetry::PhaseTimings;
 use bvf_verifier::{Coverage, KernelVersion, SnapshotStream, VerifierOpts};
@@ -207,15 +207,11 @@ impl RunConfig {
 
 /// Executes a scenario on a fresh kernel under `cfg`.
 ///
-/// `scratch` recycles an [`ExecScratch`]'s buffers (memory pool, KASAN
-/// shadow, trace steps) instead of allocating fresh ones: the
-/// campaign's per-iteration hot path. Recycling is invisible; outcomes
-/// are bit-identical either way.
-pub fn run(
-    scenario: &Scenario,
-    cfg: &RunConfig,
-    mut scratch: Option<&mut ExecScratch>,
-) -> ScenarioOutcome {
+/// Every boot recycles `scratch`'s buffers (memory pool, KASAN shadow,
+/// trace steps) instead of allocating fresh ones. Recycling is
+/// invisible: a recycled boot is bit-identical to a fresh one, so any
+/// scratch, new or used, gives the same outcome.
+pub fn run(scenario: &Scenario, cfg: &RunConfig, scratch: &mut ExecScratch) -> ScenarioOutcome {
     let defects = match cfg.sanitation {
         Sanitation::Dual(defects) => defects,
         _ => SanDefectSet::none(),
@@ -225,7 +221,7 @@ pub fn run(
         cfg,
         defects,
         cfg.sanitation != Sanitation::Off,
-        scratch.as_deref_mut(),
+        scratch,
     );
     let verified = bvf_verifier::verify(&bpf.kernel, &scenario.prog, scenario.prog_type, &bpf.opts);
     let mut timings = verified.timings;
@@ -239,18 +235,14 @@ pub fn run(
         }
         Err(e) => (Err(BpfError::Verifier(e)), None),
     };
-    let verifier_insns = match &load {
-        Ok(id) => bpf.progs[*id as usize].xlated.insns_processed,
-        Err(_) => 0,
-    };
     // The per-instruction abstract states the verifier proved for this
     // program, checked against the sanitized run's concrete trace.
     let snapshots = cfg.diff_oracle.then_some(&verified.snapshots);
-    let mut exec = execute(bpf, &load, scenario, snapshots, scratch.as_deref_mut());
+    let mut exec = execute(bpf, &load, scenario, snapshots, scratch);
 
     let san = match unsanitized {
         Some(vprog) => {
-            let mut raw = boot(scenario, cfg, defects, false, scratch.as_deref_mut());
+            let mut raw = boot(scenario, cfg, defects, false, scratch);
             let raw_load = raw.prog_install(vprog, &mut PhaseTimings::default());
             let raw_exec = execute(raw, &raw_load, scenario, None, scratch);
             compare_passes(&mut exec, load.is_ok(), &raw_exec, raw_load.is_ok())
@@ -264,7 +256,7 @@ pub fn run(
         reports: exec.reports,
         halt: exec.halt,
         attach_rejected: exec.attach_rejected,
-        verifier_insns,
+        verifier_insns: verified.insns_processed,
         timings,
         exec_steps: exec.steps,
         helper_calls: exec.helper_calls,
@@ -276,20 +268,17 @@ pub fn run(
     }
 }
 
-/// Boots a fuzzing-sized kernel (smaller pool for iteration speed) with
-/// the standard maps and the scenario's map seeding, recycling the
-/// previous run's buffers when a scratch is given.
+/// Boots a fuzzing-sized kernel (smaller pool for iteration speed) on
+/// `scratch`'s recycled buffers, with the standard maps and the
+/// scenario's map seeding.
 fn boot(
     scenario: &Scenario,
     cfg: &RunConfig,
     defects: SanDefectSet,
     sanitize: bool,
-    scratch: Option<&mut ExecScratch>,
+    scratch: &mut ExecScratch,
 ) -> Bpf {
-    let mut kernel = match scratch {
-        Some(s) => s.boot_kernel(cfg.bugs.clone(), FUZZ_POOL_SIZE),
-        None => bvf_kernel_sim::Kernel::with_pool_size(cfg.bugs.clone(), FUZZ_POOL_SIZE),
-    };
+    let mut kernel = scratch.boot_kernel(cfg.bugs.clone(), FUZZ_POOL_SIZE);
     kernel.mm.san_defects = defects;
     let opts = VerifierOpts {
         version: cfg.version,
@@ -338,24 +327,21 @@ impl Exec {
 
 /// Runs the scenario's trigger against the loaded program, then hands
 /// the kernel's buffers back to `scratch`. With `snapshots` (the diff
-/// oracle) a test run is traced and checked against them.
+/// oracle) a test run is traced into `scratch`'s trace buffer and
+/// checked against them.
 fn execute(
     mut bpf: Bpf,
     load: &Result<u32, BpfError>,
     scenario: &Scenario,
     snapshots: Option<&SnapshotStream>,
-    mut scratch: Option<&mut ExecScratch>,
+    scratch: &mut ExecScratch,
 ) -> Exec {
     let mut exec = Exec::default();
     if let Ok(id) = *load {
         bpf.progs[id as usize].offloaded = scenario.offloaded;
         match scenario.trigger {
             Trigger::TestRun => {
-                let mut local_trace = ExecTrace::default();
-                let trace: &mut ExecTrace = match scratch.as_deref_mut() {
-                    Some(s) if snapshots.is_some() => s.trace_mut(),
-                    _ => &mut local_trace,
-                };
+                let trace = scratch.trace_mut();
                 let run = if snapshots.is_some() {
                     bpf.test_run_traced(id, &mut *trace)
                 } else {
@@ -412,9 +398,7 @@ fn execute(
             }
         }
     }
-    if let Some(s) = scratch {
-        s.reclaim(bpf);
-    }
+    scratch.reclaim(bpf);
     exec
 }
 
@@ -463,8 +447,8 @@ mod tests {
     #[test]
     fn scenario_runs_deterministically() {
         let cfg = RunConfig::new(BugSet::none());
-        let a = run(&trivial(), &cfg, None);
-        let b = run(&trivial(), &cfg, None);
+        let a = run(&trivial(), &cfg, &mut ExecScratch::new());
+        let b = run(&trivial(), &cfg, &mut ExecScratch::new());
         assert!(a.accepted() && b.accepted());
         assert_eq!(a.cov, b.cov);
         assert_eq!(a.reports, b.reports);
@@ -477,7 +461,7 @@ mod tests {
             Program::from_insns(vec![asm::mov64_reg(Reg::R0, Reg::R5), asm::exit()]),
             ProgType::SocketFilter,
         );
-        let out = run(&s, &RunConfig::new(BugSet::none()), None);
+        let out = run(&s, &RunConfig::new(BugSet::none()), &mut ExecScratch::new());
         assert!(!out.accepted());
         assert!(!out.cov.is_empty());
     }
@@ -516,7 +500,7 @@ mod tests {
         let mut value = 0x55u64.to_le_bytes().to_vec();
         value.extend([0u8; 8]);
         s.map_seed.push((0, 0u32.to_le_bytes().to_vec(), value));
-        let out = run(&s, &RunConfig::new(BugSet::none()), None);
+        let out = run(&s, &RunConfig::new(BugSet::none()), &mut ExecScratch::new());
         assert!(out.accepted());
         assert!(out.reports.is_empty());
     }

@@ -33,11 +33,9 @@ pub mod insn;
 pub mod opcode;
 pub mod program;
 pub mod reg;
-pub mod validate;
 
 pub use decode::{AtomicOp, CallTarget, InsnKind};
 pub use insn::Insn;
 pub use opcode::{AluOp, Class, Endianness, JmpOp, Size, SourceOperand};
 pub use program::Program;
 pub use reg::Reg;
-pub use validate::{validate_structure, StructuralError};

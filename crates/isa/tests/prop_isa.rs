@@ -55,12 +55,6 @@ proptest! {
             other => prop_assert!(false, "unexpected decode {:?}", other),
         }
     }
-
-    /// Structural validation never panics on arbitrary input.
-    #[test]
-    fn validate_total(insns in proptest::collection::vec(arb_insn(), 0..64)) {
-        let _ = bvf_isa::validate_structure(&Program::from_insns(insns));
-    }
 }
 
 proptest! {

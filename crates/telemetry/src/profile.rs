@@ -16,7 +16,8 @@ use crate::metrics::Registry;
 /// after a rejection) stay 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTimings {
-    /// Structural validation + subprogram/prune-point discovery.
+    /// The structural pass: the structural checks, one decode of each
+    /// instruction, and prune-point placement.
     pub structure_ns: u64,
     /// The main symbolic walk (`do_check`), pruning included.
     pub do_check_ns: u64,
@@ -66,14 +67,14 @@ impl PhaseTimings {
     }
 
     /// Records each phase into `reg` as histograms named
-    /// `<prefix>.<phase>_ns`, plus `<prefix>.total_ns`.
-    pub fn record_into(&self, reg: &mut Registry, prefix: &str) {
-        reg.record(&format!("{prefix}.structure_ns"), self.structure_ns);
-        reg.record(&format!("{prefix}.do_check_ns"), self.do_check_ns);
-        reg.record(&format!("{prefix}.prune_ns"), self.prune_ns);
-        reg.record(&format!("{prefix}.fixup_ns"), self.fixup_ns);
-        reg.record(&format!("{prefix}.sanitize_ns"), self.sanitize_ns);
-        reg.record(&format!("{prefix}.total_ns"), self.total_ns());
+    /// `verify.<phase>_ns`, plus `verify.total_ns`.
+    pub fn record_into(&self, reg: &mut Registry) {
+        reg.record("verify.structure_ns", self.structure_ns);
+        reg.record("verify.do_check_ns", self.do_check_ns);
+        reg.record("verify.prune_ns", self.prune_ns);
+        reg.record("verify.fixup_ns", self.fixup_ns);
+        reg.record("verify.sanitize_ns", self.sanitize_ns);
+        reg.record("verify.total_ns", self.total_ns());
         self.prune.record_into(reg);
     }
 }
@@ -122,7 +123,7 @@ mod tests {
             do_check_ns: 7,
             ..Default::default()
         };
-        t.record_into(&mut reg, "verify");
+        t.record_into(&mut reg);
         for name in [
             "verify.structure_ns",
             "verify.do_check_ns",
@@ -151,8 +152,8 @@ mod tests {
         };
         // Two loads merge by addition — the merge-safety the campaign
         // relies on when folding per-worker registries.
-        t.record_into(&mut reg, "verify");
-        t.record_into(&mut reg, "verify");
+        t.record_into(&mut reg);
+        t.record_into(&mut reg);
         assert_eq!(reg.counter("prune.checks"), 8);
         assert_eq!(reg.counter("prune.states_equal_calls"), 6);
         assert_eq!(reg.counter("prune.fingerprint_filtered"), 18);

@@ -174,9 +174,6 @@ pub struct Verifier<'a> {
     /// at; `None` for a slot that starts no instruction (the second
     /// slot of an `LD_IMM64`).
     pub(crate) decoded: Vec<Option<(InsnKind, usize)>>,
-    /// Whether each slot is a prune point (a control-flow join, a
-    /// back-edge target, or a subprogram entry).
-    pub(crate) prune_points: Vec<bool>,
     /// Coverage collected during this verification.
     pub cov: Coverage,
     /// Verification log.
@@ -185,9 +182,10 @@ pub struct Verifier<'a> {
     pub(crate) next_id: u32,
     /// Per-slot metadata.
     pub(crate) insn_meta: Vec<InsnMeta>,
-    /// States remembered at each prune point, bucketed by fingerprint;
-    /// one point per slot.
-    pub(crate) explored: Vec<crate::shape::ExploredPoint>,
+    /// States remembered at each prune point, bucketed by fingerprint,
+    /// indexed by slot; `Some` exactly at the prune points (control-flow
+    /// joins, back-edge targets and subprogram entries).
+    pub(crate) explored: Vec<Option<crate::shape::ExploredPoint>>,
     /// Instructions processed so far.
     pub(crate) insn_processed: usize,
     /// Helper ids seen.
@@ -196,8 +194,6 @@ pub struct Verifier<'a> {
     pub(crate) used_kfuncs: BTreeSet<u32>,
     /// Map ids referenced.
     pub(crate) used_maps: BTreeSet<u32>,
-    /// Entry points of bpf-to-bpf functions.
-    pub(crate) subprog_starts: BTreeSet<usize>,
     /// Register state being stored by the current `STX` instruction, used
     /// by the stack arm for precise spill tracking.
     pub(crate) stack_spill_candidate: Option<crate::types::RegState>,
@@ -235,7 +231,6 @@ impl<'a> Verifier<'a> {
             prog: prog.clone(),
             prog_type,
             decoded: Vec::new(),
-            prune_points: Vec::new(),
             cov: Coverage::new(),
             log: Vec::new(),
             next_id: 0,
@@ -245,7 +240,6 @@ impl<'a> Verifier<'a> {
             used_helpers: BTreeSet::new(),
             used_kfuncs: BTreeSet::new(),
             used_maps: BTreeSet::new(),
-            subprog_starts: BTreeSet::new(),
             stack_spill_candidate: None,
             alu_limit_state: HashMap::new(),
             timings: bvf_telemetry::PhaseTimings::default(),

@@ -14,7 +14,7 @@
 
 use bvf::scenario::{run, RunConfig, Scenario, ScenarioOutcome};
 use bvf_kernel_sim::BugSet;
-use bvf_runtime::BpfError;
+use bvf_runtime::{BpfError, ExecScratch};
 use bvf_telemetry::PruneCounters;
 use bvf_verifier::RejectReason;
 
@@ -22,7 +22,11 @@ fn explore(fixture: &str) -> ScenarioOutcome {
     let path = format!("{}/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
     let json = std::fs::read_to_string(&path).expect("fixture must exist");
     let scenario: Scenario = serde_json::from_str(&json).expect("fixture must parse");
-    run(&scenario, &RunConfig::new(BugSet::all()), None)
+    run(
+        &scenario,
+        &RunConfig::new(BugSet::all()),
+        &mut ExecScratch::new(),
+    )
 }
 
 /// Asserts a complexity-limit rejection at `insn` after the whole
@@ -34,6 +38,7 @@ fn assert_complexity_limit(out: &ScenarioOutcome, insn: usize) {
     assert_eq!(e.reason, RejectReason::ComplexityLimit, "{e}");
     assert_eq!(e.insn_idx, insn, "{e}");
     assert!(e.msg.contains("Processed 100001 insn"), "{e}");
+    assert_eq!(out.verifier_insns, 100_001, "{e}");
 }
 
 #[test]

@@ -17,6 +17,7 @@ use bvf_isa::{asm, AluOp, JmpOp, Program, Reg, Size};
 use bvf_kernel_sim::helpers::proto::ids as helper;
 use bvf_kernel_sim::progtype::ProgType;
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefectSet};
+use bvf_runtime::ExecScratch;
 
 /// A handcrafted bug #12 reproducer: two map-value loads masked to
 /// `{0,4}` and `{0,2}` are OR-ed; the buggy refinement proves
@@ -65,7 +66,7 @@ fn load_fixture() -> Scenario {
 #[test]
 fn bounds_refinement_defect_invisible_to_indicators_one_and_two() {
     let s = or_bounds_scenario();
-    let out = run(&s, &RunConfig::new(BugSet::all()), None);
+    let out = run(&s, &RunConfig::new(BugSet::all()), &mut ExecScratch::new());
     assert!(out.accepted(), "reproducer must verify: {:?}", out.load);
     assert!(
         judge(&s, &out).is_none(),
@@ -78,7 +79,7 @@ fn bounds_refinement_defect_invisible_to_indicators_one_and_two() {
 fn diff_oracle_flags_bounds_refinement_as_indicator_three() {
     let s = or_bounds_scenario();
     let cfg = diff_config(BugSet::all());
-    let out = run(&s, &cfg, None);
+    let out = run(&s, &cfg, &mut ExecScratch::new());
     assert!(out.accepted());
     assert!(out.diff.steps_checked > 0, "trace must have been checked");
     let f = judge(&s, &out).expect("diff oracle must flag the escape");
@@ -102,7 +103,7 @@ fn diff_oracle_flags_bounds_refinement_as_indicator_three() {
 fn diff_oracle_silent_on_fixed_kernel() {
     // The reproducer on a defect-free kernel: same bounds, no escape.
     let s = or_bounds_scenario();
-    let out = run(&s, &diff_config(BugSet::none()), None);
+    let out = run(&s, &diff_config(BugSet::none()), &mut ExecScratch::new());
     assert!(out.accepted());
     assert!(
         judge(&s, &out).is_none(),
@@ -149,7 +150,7 @@ fn minimize_preserves_indicator_three_signature() {
     assert_eq!(out.scenario.prog.insn_count(), s.prog.insn_count());
 
     // Replay the minimized scenario: identical signature, still #3.
-    let replay = run(&out.scenario, &cfg, None);
+    let replay = run(&out.scenario, &cfg, &mut ExecScratch::new());
     let f = judge(&out.scenario, &replay).expect("minimized scenario must reproduce");
     assert_eq!(f.indicator, Indicator::Three);
     assert_eq!(report_signature(f.indicator, &f.reports), out.signature);
@@ -176,7 +177,7 @@ fn dual_run_keeps_the_diff_oracle_armed() {
         sanitation: Sanitation::Dual(SanDefectSet::none()),
         ..diff_config(BugSet::all())
     };
-    let out = run(&s, &cfg, None);
+    let out = run(&s, &cfg, &mut ExecScratch::new());
     assert!(
         out.diff.steps_checked > 0,
         "diff oracle must check the trace"

@@ -11,13 +11,13 @@ use bvf::gen::{GenConfig, StructuredGen};
 use bvf::scenario::{run, RunConfig, Sanitation};
 use bvf::{baseline, Scenario};
 use bvf_kernel_sim::BugSet;
-use bvf_runtime::HaltReason;
+use bvf_runtime::{ExecScratch, HaltReason};
 use bvf_verifier::KernelVersion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn assert_clean(s: &Scenario, what: &str) {
-    let out = run(s, &RunConfig::new(BugSet::none()), None);
+    let out = run(s, &RunConfig::new(BugSet::none()), &mut ExecScratch::new());
     if !out.accepted() {
         return; // rejection is always safe
     }
@@ -100,8 +100,8 @@ fn sanitation_never_changes_results() {
             sanitation: Sanitation::Off,
             ..sanitized_cfg.clone()
         };
-        let plain = run(&s, &plain_cfg, None);
-        let sanitized = run(&s, &sanitized_cfg, None);
+        let plain = run(&s, &plain_cfg, &mut ExecScratch::new());
+        let sanitized = run(&s, &sanitized_cfg, &mut ExecScratch::new());
         assert_eq!(plain.accepted(), sanitized.accepted());
         if plain.accepted() {
             assert_eq!(plain.halt, sanitized.halt, "{}", s.prog.dump());
@@ -124,8 +124,8 @@ fn verifier_is_deterministic_across_versions() {
                 version: v,
                 ..RunConfig::new(BugSet::none())
             };
-            let a = run(&s, &cfg, None);
-            let b = run(&s, &cfg, None);
+            let a = run(&s, &cfg, &mut ExecScratch::new());
+            let b = run(&s, &cfg, &mut ExecScratch::new());
             assert_eq!(a.accepted(), b.accepted());
             assert_eq!(a.cov, b.cov);
         }
@@ -147,8 +147,8 @@ fn older_versions_accept_subset_features() {
         version: KernelVersion::V5_15,
         ..new_cfg.clone()
     };
-    let old = run(&s, &old_cfg, None);
-    let new = run(&s, &new_cfg, None);
+    let old = run(&s, &old_cfg, &mut ExecScratch::new());
+    let new = run(&s, &new_cfg, &mut ExecScratch::new());
     assert!(!old.accepted());
     assert!(new.accepted());
 }

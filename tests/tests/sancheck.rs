@@ -24,7 +24,7 @@ use bvf::{judge, GenConfig, GeneratorKind, StructuredGen};
 use bvf_diff::DiffStats;
 use bvf_kernel_sim::tracepoint::AttachPoint;
 use bvf_kernel_sim::{BugSet, Kernel, KernelReport, SanDefect, SanDefectSet, SanDivergenceKind};
-use bvf_runtime::{Bpf, BpfError, ExecTrace, HaltReason};
+use bvf_runtime::{Bpf, BpfError, ExecScratch, ExecTrace, HaltReason};
 use bvf_sancheck::{matrix_cases, RunView, SanStats};
 use bvf_verifier::{verify, Coverage, KernelVersion, VerifierOpts};
 use rand::rngs::StdRng;
@@ -132,7 +132,7 @@ fn committed_fixture_diverges_only_when_armed() {
     let armed = run(
         &s,
         &dual(SanDefectSet::only(SanDefect::ScratchClobber)),
-        None,
+        &mut ExecScratch::new(),
     );
     assert!(armed.accepted(), "fixture must verify: {:?}", armed.load);
     assert!(
@@ -143,7 +143,7 @@ fn committed_fixture_diverges_only_when_armed() {
         "armed replay must diverge: {:?}",
         armed.reports
     );
-    let healed = run(&s, &dual(SanDefectSet::none()), None);
+    let healed = run(&s, &dual(SanDefectSet::none()), &mut ExecScratch::new());
     assert!(
         !healed
             .reports
@@ -163,7 +163,7 @@ fn minimize_round_trips_divergence_signature() {
 
     // The minimized scenario replays to the same signature — the
     // round-trip CI asserts this via `bvf replay`.
-    let replay = run(&out.scenario, &cfg, None);
+    let replay = run(&out.scenario, &cfg, &mut ExecScratch::new());
     assert!(
         replay
             .reports
@@ -211,7 +211,7 @@ fn independent_pass(
         reports: Vec::new(),
         halt: None,
         attach_rejected: false,
-        verifier_insns: 0,
+        verifier_insns: verified.insns_processed,
         timings,
         exec_steps: 0,
         helper_calls: 0,
@@ -222,7 +222,6 @@ fn independent_pass(
         san: SanStats::default(),
     };
     let Ok(id) = o.load else { return o };
-    o.verifier_insns = bpf.progs[id as usize].xlated.insns_processed;
     bpf.progs[id as usize].offloaded = s.offloaded;
     match s.trigger {
         Trigger::TestRun => {
@@ -392,13 +391,13 @@ fn dual_run_matches_two_independent_passes() {
                             diff_oracle,
                             ..cfg.clone()
                         };
-                        observe(s, &run(s, &cfg, None))
+                        observe(s, &run(s, &cfg, &mut ExecScratch::new()))
                     };
                     assert_eq!(single(Sanitation::On, diff_oracle), observe(s, &on));
                     assert_eq!(single(Sanitation::Off, false), observe(s, &off));
                 }
                 let reference = observe(s, &fold(on, &off));
-                let dual = observe(s, &run(s, &cfg, None));
+                let dual = observe(s, &run(s, &cfg, &mut ExecScratch::new()));
                 assert_eq!(
                     dual, reference,
                     "bugs {bugs:?} defects {defects:?} diff {diff_oracle}: {s:?}"
