@@ -89,7 +89,6 @@ fn main() {
     let hits = c("prune.hits");
     let calls = c("prune.states_equal_calls");
     let filtered = c("prune.fingerprint_filtered");
-    let shared = c("prune.loop_scan_shared");
     let evictions = c("prune.evictions");
     let points = c("prune.points");
     let stored = c("prune.states_stored");
@@ -124,7 +123,6 @@ fn main() {
                 filtered_fraction * 100.0
             ),
         ],
-        vec!["loop-scan shared".into(), shared.to_string()],
         vec!["evictions".into(), evictions.to_string()],
         vec![
             "states / prune point".into(),
@@ -148,7 +146,6 @@ fn main() {
             "states_equal_calls_off": calls_off,
             "fingerprint_filtered": filtered,
             "filtered_fraction": filtered_fraction,
-            "loop_scan_shared": shared,
             "evictions": evictions,
             "prune_points": points,
             "states_stored": stored,

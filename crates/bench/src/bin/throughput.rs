@@ -1,4 +1,4 @@
-//! **Throughput scaling of the sharded campaign orchestrator**.
+//! **Throughput scaling of the local campaign runner**.
 //!
 //! Runs the same logical campaign at increasing worker counts and
 //! reports executions per second, speedup over the 1-worker run, and
@@ -38,8 +38,10 @@
 use bvf::baseline::GeneratorKind;
 use bvf::cli::{bare, invalid_value, val, Args, Command};
 use bvf::fuzz::CampaignConfig;
+use bvf::runner::{run_local, ParallelConfig, ParallelOutcome};
 use bvf_bench::{render_table, save_json};
-use bvf_campaign::{run_sharded, ParallelConfig};
+use bvf_telemetry::profile::elapsed_ns;
+use bvf_telemetry::{Registry, Telemetry};
 
 const USAGE: &str =
     "usage: throughput [--iters N] [--seed S] [--workers 1,2,4,8] [--quick]\n                  \
@@ -89,6 +91,15 @@ fn committed_baseline_rate() -> Option<f64> {
         .as_f64()
 }
 
+/// Runs one campaign and times the call: its outcome, its registry and
+/// its wall time in nanoseconds.
+fn timed(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> (ParallelOutcome, Registry, u64) {
+    let mut tel = Telemetry::null();
+    let t0 = std::time::Instant::now();
+    let outcome = run_local(cfg, pcfg, &mut tel);
+    (outcome, tel.registry, elapsed_ns(t0))
+}
+
 /// The oracle a paired overhead run toggles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Oracle {
@@ -124,17 +135,17 @@ fn oracle_overhead(
     // injected defects would add divergence handling and triage to the
     // per-iteration cost, conflating detection cost with checking cost.
     cfg.bugs = bvf_kernel_sim::BugSet::none();
-    let off = run_sharded(&cfg, &pcfg);
+    let (_, _, wall_ns_off) = timed(&cfg, &pcfg);
     match oracle {
         Oracle::Diff => cfg.diff_oracle = true,
         Oracle::San => cfg.san_diff = true,
     }
-    let on = run_sharded(&cfg, &pcfg);
+    let (on, _, wall_ns_on) = timed(&cfg, &pcfg);
 
     let rate = |wall_ns: u64| iters as f64 / (wall_ns as f64 / 1e9);
-    let rate_off = rate(off.wall_ns);
-    let rate_on = rate(on.wall_ns);
-    let slowdown = on.wall_ns as f64 / off.wall_ns as f64;
+    let rate_off = rate(wall_ns_off);
+    let rate_on = rate(wall_ns_on);
+    let slowdown = wall_ns_on as f64 / wall_ns_off as f64;
     let (d, san) = (&on.result.diff, &on.result.san);
     let (title, column, file, checked, divergences, counters) = match oracle {
         Oracle::Diff => (
@@ -202,8 +213,8 @@ fn oracle_overhead(
         "quick": quick,
         "execs_per_sec_off": rate_off,
         "execs_per_sec_on": rate_on,
-        "wall_ns_off": off.wall_ns,
-        "wall_ns_on": on.wall_ns,
+        "wall_ns_off": wall_ns_off,
+        "wall_ns_on": wall_ns_on,
         "slowdown": slowdown,
         "divergences": divergences,
         "committed_baseline_execs_per_sec": baseline.map(|(r, _)| r),
@@ -271,9 +282,9 @@ fn main() {
     let mut one_worker_rate = None;
     for &w in &workers {
         let pcfg = ParallelConfig::new(w);
-        let a = run_sharded(&cfg, &pcfg);
-        let b = run_sharded(&cfg, &pcfg);
-        let sig = |o: &bvf_campaign::ParallelOutcome| {
+        let (a, registry, wall_ns) = timed(&cfg, &pcfg);
+        let (b, _, _) = timed(&cfg, &pcfg);
+        let sig = |o: &ParallelOutcome| {
             o.result
                 .findings
                 .iter()
@@ -288,7 +299,7 @@ fn main() {
         assert_eq!(a.result.accepted, b.result.accepted);
         assert_eq!(a.result.coverage.len(), b.result.coverage.len());
 
-        let secs = a.wall_ns as f64 / 1e9;
+        let secs = wall_ns as f64 / 1e9;
         let rate = iters as f64 / secs;
         if w == workers[0] {
             base_rate = rate;
@@ -302,7 +313,7 @@ fn main() {
         }
         let speedup = rate / base_rate;
         let efficiency = speedup / (w as f64 / workers[0] as f64);
-        let lease_wait_ns = a.registry.counter("campaign.lease_wait_ns");
+        let lease_wait_ns = registry.counter("campaign.lease_wait_ns");
         eprintln!(
             "{w} workers: {rate:.0} execs/s  speedup {speedup:.2}x  efficiency {efficiency:.2}  findings {}",
             a.result.findings.len()
@@ -318,7 +329,7 @@ fn main() {
         ]);
         points.push(serde_json::json!({
             "workers": w,
-            "wall_ns": a.wall_ns,
+            "wall_ns": wall_ns,
             "execs_per_sec": rate,
             "speedup": speedup,
             "efficiency": efficiency,
@@ -331,7 +342,7 @@ fn main() {
         }));
     }
 
-    println!("\nsharded campaign throughput ({iters} iterations per point)\n");
+    println!("\nlocal campaign throughput ({iters} iterations per point)\n");
     println!(
         "{}",
         render_table(

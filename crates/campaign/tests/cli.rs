@@ -214,6 +214,33 @@ fn unwritable_outputs_fail_before_the_first_iteration() {
 }
 
 #[test]
+fn a_trace_write_error_exits_1_at_any_worker_count() {
+    // `/dev/full` opens and then fails every write. One worker used to
+    // exit 0 with the trace cut short.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    for workers in ["1", "2"] {
+        let args = [
+            "fuzz",
+            "--iters",
+            "64",
+            "--workers",
+            workers,
+            "--trace-out",
+            "/dev/full",
+        ];
+        let out = bvf(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot write trace file /dev/full"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn serve_names_an_unusable_state_dir() {
     // The address was fine; the state dir was not.
     let out = bvf(&["serve", "--listen", "127.0.0.1:0", "--state", "/dev/null/x"]);

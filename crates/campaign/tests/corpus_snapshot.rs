@@ -10,8 +10,8 @@ use std::path::PathBuf;
 
 use bvf::baseline::GeneratorKind;
 use bvf::corpus::{CorpusSnapshot, SnapshotFinding, CORPUS_FORMAT, CORPUS_FORMAT_VERSION};
-use bvf::fuzz::{run_serial, CampaignConfig};
-use bvf_campaign::{run_sharded, ParallelConfig};
+use bvf::fuzz::CampaignConfig;
+use bvf::runner::{run_local, ParallelConfig, ParallelOutcome};
 use bvf_telemetry::Telemetry;
 
 fn fixture_path() -> PathBuf {
@@ -33,10 +33,14 @@ fn export(cfg: &CampaignConfig, workers: usize) -> CorpusSnapshot {
     export_with_chaos(cfg, workers, 0)
 }
 
-fn export_with_chaos(cfg: &CampaignConfig, workers: usize, chaos: u64) -> CorpusSnapshot {
+fn run(cfg: &CampaignConfig, workers: usize, chaos: u64) -> ParallelOutcome {
     let mut pcfg = ParallelConfig::new(workers);
     pcfg.chaos = chaos;
-    let outcome = run_sharded(cfg, &pcfg);
+    run_local(cfg, &pcfg, &mut Telemetry::null())
+}
+
+fn export_with_chaos(cfg: &CampaignConfig, workers: usize, chaos: u64) -> CorpusSnapshot {
+    let outcome = run(cfg, workers, chaos);
     CorpusSnapshot::from_outputs(cfg, &outcome.outputs, &outcome.result.findings)
 }
 
@@ -75,8 +79,9 @@ fn triaged_snapshots_are_worker_count_invariant() {
     // worker ran which batch, and when, cannot show in the file.
     let cfg = CampaignConfig::new(GeneratorKind::Bvf, 500, 7);
     assert!(cfg.triage);
-    let (one, outputs) = run_serial(&cfg, &mut Telemetry::null(), 0);
-    let snap = CorpusSnapshot::from_outputs(&cfg, &outputs, &one.findings);
+    let one = run(&cfg, 1, 0);
+    let snap = CorpusSnapshot::from_outputs(&cfg, &one.outputs, &one.result.findings);
+    let one = one.result;
     for workers in [2usize, 4] {
         for chaos in 1..=4u64 {
             assert!(
@@ -137,7 +142,7 @@ fn merged_snapshots_reproduce_the_union_of_findings() {
         base: merged.to_base(),
         ..fixture_config()
     };
-    let seeded = run_sharded(&seeded_cfg, &ParallelConfig::new(2)).result;
+    let seeded = run(&seeded_cfg, 2, 0).result;
     assert!(
         seeded.coverage.len() < cov_union.len() / 2,
         "imported coverage should gate retention: {} new vs {} imported",

@@ -13,15 +13,17 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::rc::Rc;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use bvf::baseline::GeneratorKind;
 use bvf::fuzz::{
     batch_count, run_campaign, run_campaign_with_telemetry, CampaignConfig, CampaignResult,
 };
-use bvf_campaign::{run_sharded, ParallelConfig};
-use bvf_telemetry::{Registry, Telemetry, TraceEvent, TraceSink};
+use bvf::runner::{run_local, ParallelConfig, ParallelOutcome};
+use bvf_telemetry::{JsonlSink, Registry, Telemetry, TraceEvent, TraceSink};
 use proptest::prelude::*;
 
 fn config(iters: usize, seed: u64) -> CampaignConfig {
@@ -29,6 +31,16 @@ fn config(iters: usize, seed: u64) -> CampaignConfig {
     // the full pipeline, so the test exercises finding dedup and triage
     // merging, not just generation.
     CampaignConfig::new(GeneratorKind::Bvf, iters, seed)
+}
+
+/// Runs one campaign with the given runner settings, tracing nowhere.
+fn run(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutcome {
+    run_local(cfg, pcfg, &mut Telemetry::null())
+}
+
+/// The merged result of one campaign on `workers` workers.
+fn result(cfg: &CampaignConfig, workers: usize) -> CampaignResult {
+    run(cfg, &ParallelConfig::new(workers)).result
 }
 
 /// One finding reduced to its deterministic identity.
@@ -89,10 +101,14 @@ fn assert_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
 
 #[test]
 fn one_worker_matches_legacy_serial_path() {
+    // `run_campaign`, the entry point of every single-threaded caller,
+    // is the runner at one worker with no sink; tracing every event
+    // into a JSONL stream must not move the result.
     let cfg = config(800, 20_240_601);
     let serial = run_campaign(&cfg);
-    let sharded = run_sharded(&cfg, &ParallelConfig::new(1)).result;
-    assert_identical(&serial, &sharded, "serial vs 1 worker");
+    let mut tel = Telemetry::new(Box::new(JsonlSink::new(std::io::sink())));
+    let traced = run_local(&cfg, &ParallelConfig::new(1), &mut tel).result;
+    assert_identical(&serial, &traced, "serial vs traced 1 worker");
 }
 
 #[test]
@@ -101,9 +117,9 @@ fn every_worker_count_matches_one_worker() {
     // are bit-identical to `--workers 1` at any worker count, findings
     // and corpus included.
     let cfg = config(600, 97);
-    let one = run_sharded(&cfg, &ParallelConfig::new(1)).result;
+    let one = result(&cfg, 1);
     for workers in [2usize, 3, 4] {
-        let many = run_sharded(&cfg, &ParallelConfig::new(workers)).result;
+        let many = result(&cfg, workers);
         assert_identical(&one, &many, &format!("{workers} workers vs 1"));
     }
 }
@@ -112,14 +128,9 @@ fn every_worker_count_matches_one_worker() {
 fn campaigns_are_deterministic_run_to_run() {
     for workers in [1usize, 2, 4] {
         let cfg = config(600, 97);
-        let pcfg = ParallelConfig::new(workers);
-        let a = run_sharded(&cfg, &pcfg);
-        let b = run_sharded(&cfg, &pcfg);
-        assert_identical(
-            &a.result,
-            &b.result,
-            &format!("run-to-run at {workers} workers"),
-        );
+        let a = result(&cfg, workers);
+        let b = result(&cfg, workers);
+        assert_identical(&a, &b, &format!("run-to-run at {workers} workers"));
     }
 }
 
@@ -130,11 +141,11 @@ fn chaos_jitter_cannot_change_the_result() {
     // batch and in what order workers finish. None of that is a campaign
     // input, so the merged result must not move.
     let cfg = config(500, 7);
-    let calm = run_sharded(&cfg, &ParallelConfig::new(3)).result;
+    let calm = result(&cfg, 3);
     for chaos in [1u64, 0xdead_beef, u64::MAX] {
         let mut pcfg = ParallelConfig::new(3);
         pcfg.chaos = chaos;
-        let outcome = run_sharded(&cfg, &pcfg);
+        let outcome = run(&cfg, &pcfg);
         assert_identical(&calm, &outcome.result, &format!("chaos {chaos:#x}"));
     }
 }
@@ -142,7 +153,7 @@ fn chaos_jitter_cannot_change_the_result() {
 #[test]
 fn worker_summaries_partition_the_campaign() {
     let cfg = config(500, 3);
-    let outcome = run_sharded(&cfg, &ParallelConfig::new(4));
+    let outcome = run(&cfg, &ParallelConfig::new(4));
     assert_eq!(outcome.workers.len(), 4);
     let iters: usize = outcome.workers.iter().map(|w| w.iterations).sum();
     assert_eq!(iters, cfg.iterations, "iterations partition exactly");
@@ -152,36 +163,188 @@ fn worker_summaries_partition_the_campaign() {
     assert_eq!(accepted, outcome.result.accepted);
 }
 
+/// A `Write` target the test can read back after the telemetry that
+/// owns its sink is done.
+#[derive(Clone, Default)]
+struct Buffer(Rc<RefCell<Vec<u8>>>);
+
+impl Write for Buffer {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs a campaign into a JSONL trace, as `bvf fuzz --trace-out` does;
+/// returns the outcome, its registry and the trace's lines.
+fn jsonl_trace(
+    cfg: &CampaignConfig,
+    workers: usize,
+) -> (ParallelOutcome, Registry, Vec<serde_json::Value>) {
+    let buf = Buffer::default();
+    let mut tel = Telemetry::new(Box::new(JsonlSink::new(buf.clone())));
+    let outcome = run_local(cfg, &ParallelConfig::new(workers), &mut tel);
+    let text = String::from_utf8(buf.0.take()).expect("trace is utf-8");
+    let lines = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("valid JSONL"))
+        .collect();
+    (outcome, tel.registry, lines)
+}
+
 #[test]
 fn merged_trace_is_iteration_ordered_and_worker_tagged() {
     let cfg = config(200, 11);
-    let mut pcfg = ParallelConfig::new(2);
-    pcfg.trace = true;
-    let outcome = run_sharded(&cfg, &pcfg);
-    let trace = outcome.trace.expect("trace requested");
-    let text = String::from_utf8(trace).expect("trace is utf-8");
+    let (_, _, lines) = jsonl_trace(&cfg, 2);
     let mut prev = (0u64, 0u64);
     let mut seen_workers = std::collections::BTreeSet::new();
-    let mut lines = 0usize;
-    for line in text.lines() {
-        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSONL");
+    for v in &lines {
         let key = (v["iter"].as_u64().unwrap(), v["worker"].as_u64().unwrap());
         assert!(key >= prev, "trace out of order: {prev:?} then {key:?}");
         prev = key;
         seen_workers.insert(key.1);
-        lines += 1;
     }
-    assert!(lines >= cfg.iterations, "at least one event per iteration");
+    assert!(
+        lines.len() >= cfg.iterations,
+        "at least one event per iteration"
+    );
     assert_eq!(seen_workers.len(), 2, "both workers contribute events");
 }
 
-/// Keeps every event of a serial campaign in memory.
-struct Recorder(Rc<RefCell<Vec<TraceEvent>>>);
+/// One received event: the worker it was replayed under (`None` for a
+/// live event), the instant it arrived, and the event.
+type Received = (Option<usize>, Instant, TraceEvent);
+
+/// Keeps every event in memory as it is received.
+#[derive(Clone, Default)]
+struct Recorder(Rc<RefCell<Vec<Received>>>);
 
 impl TraceSink for Recorder {
     fn emit(&mut self, event: &TraceEvent) {
-        self.0.borrow_mut().push(event.clone());
+        self.0
+            .borrow_mut()
+            .push((None, Instant::now(), event.clone()));
     }
+
+    fn emit_from(&mut self, worker: usize, _at: Instant, event: &TraceEvent) {
+        self.0
+            .borrow_mut()
+            .push((Some(worker), Instant::now(), event.clone()));
+    }
+}
+
+impl Recorder {
+    /// The recorded events, without their worker and arrival.
+    fn events(&self) -> Vec<TraceEvent> {
+        self.0.borrow().iter().map(|(_, _, e)| e.clone()).collect()
+    }
+}
+
+/// Runs a campaign into a [`Recorder`]; returns the outcome, its
+/// registry and the recorder.
+fn recorded(cfg: &CampaignConfig, workers: usize) -> (ParallelOutcome, Registry, Recorder) {
+    let rec = Recorder::default();
+    let mut tel = Telemetry::new(Box::new(rec.clone()));
+    let outcome = run_local(cfg, &ParallelConfig::new(workers), &mut tel);
+    (outcome, tel.registry, rec)
+}
+
+/// An event with its wall-clock members zeroed: what stays equal
+/// between two runs of one campaign.
+fn timeless(e: &TraceEvent) -> TraceEvent {
+    let mut e = e.clone();
+    match &mut e {
+        TraceEvent::Verify {
+            do_check_ns,
+            total_ns,
+            ..
+        } => {
+            *do_check_ns = 0;
+            *total_ns = 0;
+        }
+        TraceEvent::Finding { triage_ns, .. } => *triage_ns = 0,
+        _ => {}
+    }
+    e
+}
+
+#[test]
+fn one_and_two_workers_carry_the_same_events() {
+    // One worker emits live, the merge's `finding` events after the
+    // last iteration; two workers replay in `(iter, worker)` order, so
+    // each finding follows its own iteration. Ordered by iteration,
+    // both streams are the same events.
+    let cfg = config(300, 11);
+    let (one, _, rec1) = recorded(&cfg, 1);
+    let (two, _, rec2) = recorded(&cfg, 2);
+    assert!(
+        !one.result.findings.is_empty(),
+        "campaign must find something"
+    );
+    let mut a: Vec<TraceEvent> = rec1.events().iter().map(timeless).collect();
+    a.sort_by_key(TraceEvent::iter);
+    let b: Vec<TraceEvent> = rec2.events().iter().map(timeless).collect();
+    assert_eq!(a.len(), b.len(), "event count");
+    assert_eq!(a, b);
+
+    // Live events are untagged; replayed ones carry the worker that ran
+    // their batch, as the worker summaries place it.
+    assert!(rec1.0.borrow().iter().all(|(w, _, _)| w.is_none()));
+    let tagged: std::collections::BTreeSet<usize> = rec2
+        .0
+        .borrow()
+        .iter()
+        .map(|(w, _, _)| w.expect("tagged"))
+        .collect();
+    let ran: std::collections::BTreeSet<usize> = two
+        .workers
+        .iter()
+        .filter(|w| w.batches > 0)
+        .map(|w| w.worker)
+        .collect();
+    assert_eq!(tagged, ran);
+}
+
+#[test]
+fn one_worker_events_arrive_live_in_emission_order() {
+    // What the benchmark's span fold relies on: at one worker every
+    // event reaches the caller's sink as the campaign emits it, the
+    // iterations in order, and the merge's findings after the last
+    // per-iteration event.
+    let cfg = config(300, 11);
+    let (outcome, _, rec) = recorded(&cfg, 1);
+    let events = rec.0.borrow();
+    let first_finding = events
+        .iter()
+        .position(|(_, _, e)| matches!(e, TraceEvent::Finding { .. }))
+        .expect("campaign must find something");
+    let (per_iter, findings) = events.split_at(first_finding);
+    assert!(per_iter.windows(2).all(|w| w[0].2.iter() <= w[1].2.iter()));
+    assert!(findings
+        .iter()
+        .all(|(_, _, e)| matches!(e, TraceEvent::Finding { .. })));
+    assert_eq!(findings.len(), outcome.result.findings.len());
+
+    // Live, not replayed: each `verify` event arrives after the
+    // verification it reports, so the gaps between arrivals cover the
+    // verifier time of every program after the first.
+    let verifies: Vec<(Instant, u64)> = per_iter
+        .iter()
+        .filter_map(|(_, at, e)| match e {
+            TraceEvent::Verify { total_ns, .. } => Some((*at, *total_ns)),
+            _ => None,
+        })
+        .collect();
+    let spread = verifies.last().unwrap().0 - verifies[0].0;
+    let verifying: u64 = verifies[1..].iter().map(|&(_, ns)| ns).sum();
+    assert!(
+        spread.as_nanos() >= u128::from(verifying),
+        "events arrived in {spread:?}, verification took {verifying} ns"
+    );
 }
 
 /// Checks the merge's trace contract: one `finding` event per merged
@@ -234,21 +397,17 @@ fn traces_carry_one_finding_event_per_merged_finding() {
             ..config(600, 11)
         };
 
-        let events = Rc::new(RefCell::new(Vec::new()));
-        let mut tel = Telemetry::new(Box::new(Recorder(Rc::clone(&events))));
+        let rec = Recorder::default();
+        let mut tel = Telemetry::new(Box::new(rec.clone()));
         let serial = run_campaign_with_telemetry(&cfg, &mut tel);
-        assert_finding_events(&serial, &events.borrow(), &tel.registry, triage);
+        assert_finding_events(&serial, &rec.events(), &tel.registry, triage);
 
-        let mut pcfg = ParallelConfig::new(2);
-        pcfg.trace = true;
-        let outcome = run_sharded(&cfg, &pcfg);
-        let trace = String::from_utf8(outcome.trace.expect("trace requested")).unwrap();
+        let (outcome, registry, lines) = jsonl_trace(&cfg, 2);
         let mut events = Vec::new();
         // Each finding event is tagged with the worker that generated
         // its iteration's program.
         let mut gen_worker = BTreeMap::new();
-        for line in trace.lines() {
-            let v: serde_json::Value = serde_json::from_str(line).unwrap();
+        for v in lines {
             let worker = v["worker"].as_u64().unwrap();
             let event: TraceEvent = serde_json::from_value(v).unwrap();
             match &event {
@@ -262,7 +421,7 @@ fn traces_carry_one_finding_event_per_merged_finding() {
             }
             events.push(event);
         }
-        assert_finding_events(&outcome.result, &events, &outcome.registry, triage);
+        assert_finding_events(&outcome.result, &events, &registry, triage);
     }
 }
 
@@ -275,7 +434,7 @@ fn one_worker_diff_oracle_matches_serial() {
     let mut cfg = config(600, 20_240_601);
     cfg.diff_oracle = true;
     let serial = run_campaign(&cfg);
-    let sharded = run_sharded(&cfg, &ParallelConfig::new(1)).result;
+    let sharded = result(&cfg, 1);
 
     assert_identical(&serial, &sharded, "diff oracle serial vs 1 worker");
     assert_eq!(serial.diff.steps_total, sharded.diff.steps_total);
@@ -324,9 +483,9 @@ fn prune_index_on_and_off_find_the_same_bugs() {
 fn diff_campaigns_are_deterministic_across_worker_counts() {
     let mut cfg = config(400, 97);
     cfg.diff_oracle = true;
-    let one = run_sharded(&cfg, &ParallelConfig::new(1)).result;
+    let one = result(&cfg, 1);
     for workers in [2usize, 3] {
-        let many = run_sharded(&cfg, &ParallelConfig::new(workers)).result;
+        let many = result(&cfg, workers);
         assert_identical(&one, &many, &format!("diff oracle {workers} vs 1"));
         assert_eq!(one.diff.steps_checked, many.diff.steps_checked);
         assert_eq!(one.diff.divergences, many.diff.divergences);
@@ -348,7 +507,7 @@ fn steered_campaigns_are_worker_count_invariant() {
     };
     let serial = run_campaign(&steered);
     for workers in [1usize, 2, 4] {
-        let many = run_sharded(&steered, &ParallelConfig::new(workers)).result;
+        let many = result(&steered, workers);
         assert_identical(&serial, &many, &format!("steered {workers} workers"));
     }
 
@@ -359,7 +518,7 @@ fn steered_campaigns_are_worker_count_invariant() {
         ..steered.clone()
     };
     let off_serial = run_campaign(&unsteered);
-    let off_sharded = run_sharded(&unsteered, &ParallelConfig::new(2)).result;
+    let off_sharded = result(&unsteered, 2);
     assert_identical(&off_serial, &off_sharded, "steer-off 2 workers");
 
     // The two modes genuinely diverge: steering changes what gets
@@ -382,8 +541,8 @@ fn both_oracles_merge_identically_at_one_and_two_workers() {
     cfg.diff_oracle = true;
     cfg.san_diff = true;
 
-    let one = run_sharded(&cfg, &ParallelConfig::new(1)).result;
-    let two = run_sharded(&cfg, &ParallelConfig::new(2)).result;
+    let one = result(&cfg, 1);
+    let two = result(&cfg, 2);
     let what = "both oracles, 1 vs 2 workers";
     assert_identical(&one, &two, what);
     assert_eq!(one.diff, two.diff, "{what}: diff stats");
@@ -418,7 +577,7 @@ proptest! {
     fn merge_is_schedule_independent(workers in 1usize..=4, chaos in any::<u64>()) {
         let mut pcfg = ParallelConfig::new(workers);
         pcfg.chaos = chaos;
-        let merged = run_sharded(&property_config(), &pcfg).result;
+        let merged = run(&property_config(), &pcfg).result;
         let reference = property_reference();
         prop_assert_eq!(fingerprint(reference), fingerprint(&merged));
         prop_assert_eq!(&reference.errno_histogram, &merged.errno_histogram);

@@ -66,18 +66,19 @@
 //! suggested), a flag missing its value, a repeated flag or a stray
 //! argument exits 2 before anything runs. `--help` prints the usage.
 //!
-//! `--workers N` runs the campaign's lease batches across N threads
-//! over one lease schedule (0 = one per available CPU) with merged
-//! results bit-identical to `--workers 1` on the same seed; one worker
-//! runs the serial loop on the main thread. `--chaos S` adds
-//! deterministic per-batch scheduling jitter to a multi-worker run (for
-//! shaking out schedule dependence — results must not change).
-//! `--batch-len`, `--exchange-every` and `--exchange-batch` set the
-//! lease-batch geometry and corpus-exchange cadence; they are campaign
-//! inputs, so changing them changes the result (worker count never
-//! does). With multiple workers the trace is worker-tagged and
-//! interleaved by iteration. Progress lines print the schedule's
-//! totals over completed batches, in one format at any worker count.
+//! `--workers N` runs the campaign's lease batches on N workers over
+//! one lease schedule (0 = one per available CPU) with merged results
+//! bit-identical to `--workers 1` on the same seed: every worker count
+//! runs the one lease loop of `bvf::runner::run_local`, and one worker
+//! runs it on the main thread. `--chaos S` adds deterministic per-batch
+//! scheduling jitter (for shaking out schedule dependence — results
+//! must not change). `--batch-len`, `--exchange-every` and
+//! `--exchange-batch` set the lease-batch geometry and corpus-exchange
+//! cadence; they are campaign inputs, so changing them changes the
+//! result (worker count never does). With multiple workers the trace is
+//! worker-tagged and ordered by iteration. Progress lines print the
+//! schedule's totals over completed batches, in one format at any
+//! worker count.
 //!
 //! `bvf serve` starts the distributed campaign-fabric coordinator
 //! (`bvf-fabric`): workers attach with `bvf worker --connect`, clients
@@ -112,12 +113,12 @@ use std::time::Duration;
 use bvf::baseline::GeneratorKind;
 use bvf::cli::{bare, levenshtein, val, Args, Command, Flag};
 use bvf::corpus::CorpusSnapshot;
-use bvf::fuzz::{report_signature, run_serial, CampaignConfig, FindingRecord};
+use bvf::fuzz::{report_signature, CampaignConfig, FindingRecord};
 use bvf::minimize::minimize;
 use bvf::oracle::{judge, triage, triage_san_defects};
+use bvf::runner::{run_local, ParallelConfig};
 use bvf::sanmatrix::run_matrix;
 use bvf::scenario::{run, RunConfig, Sanitation, Scenario};
-use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
 use bvf_runtime::ExecScratch;
@@ -462,7 +463,6 @@ fn cmd_fuzz(args: &Args) {
     create_outputs(args);
     let (iters, seed) = (cfg.iterations, cfg.seed);
     let workers = parse_workers(args);
-    let trace_path = args.opt("--trace-out");
     let stats_every: usize = args.parsed("--stats-every").unwrap_or((iters / 100).max(1));
 
     eprintln!(
@@ -478,20 +478,29 @@ fn cmd_fuzz(args: &Args) {
         }
     );
 
-    let (r, registry, outputs) = if workers > 1 {
-        let mut pcfg = ParallelConfig::new(workers);
-        pcfg.stats_every = stats_every;
-        pcfg.trace = trace_path.is_some();
-        if let Some(s) = args.parsed("--chaos") {
-            pcfg.chaos = s;
-        }
-        let outcome = run_sharded(&cfg, &pcfg);
-        if let (Some(path), Some(trace)) = (trace_path, &outcome.trace) {
-            std::fs::write(path, trace).unwrap_or_else(|e| {
-                eprintln!("cannot write trace file {path}: {e}");
+    let trace_path = args.opt("--trace-out");
+    let sink: Box<dyn TraceSink> = match trace_path {
+        Some(path) => {
+            let f = std::fs::File::create(path).unwrap_or_else(|e| {
+                eprintln!("cannot create trace file {path}: {e}");
                 exit(1);
             });
+            Box::new(JsonlSink::new(std::io::BufWriter::new(f)))
         }
+        None => Box::new(NullSink),
+    };
+    let mut tel = Telemetry::new(sink);
+    let pcfg = ParallelConfig {
+        workers,
+        stats_every,
+        chaos: args.parsed("--chaos").unwrap_or(0),
+    };
+    let outcome = run_local(&cfg, &pcfg, &mut tel);
+    if let (Some(path), Err(e)) = (trace_path, tel.finish()) {
+        eprintln!("cannot write trace file {path}: {e}");
+        exit(1);
+    }
+    if workers > 1 {
         for w in &outcome.workers {
             eprintln!(
                 "worker {}: batches {}  iters {}  accepted {}  findings {}  {:.2}s",
@@ -503,22 +512,8 @@ fn cmd_fuzz(args: &Args) {
                 w.wall_ns as f64 / 1e9
             );
         }
-        (outcome.result, outcome.registry, outcome.outputs)
-    } else {
-        let sink: Box<dyn TraceSink> = match trace_path {
-            Some(path) => {
-                let f = std::fs::File::create(path).unwrap_or_else(|e| {
-                    eprintln!("cannot create trace file {path}: {e}");
-                    exit(1);
-                });
-                Box::new(JsonlSink::new(std::io::BufWriter::new(f)))
-            }
-            None => Box::new(NullSink),
-        };
-        let mut tel = Telemetry::new(sink);
-        let (r, outputs) = run_serial(&cfg, &mut tel, stats_every);
-        (r, std::mem::take(&mut tel.registry), outputs)
-    };
+    }
+    let (r, outputs, registry) = (outcome.result, outcome.outputs, tel.registry);
     if let Some(path) = args.opt("--corpus-out") {
         let snap = CorpusSnapshot::from_outputs(&cfg, &outputs, &r.findings);
         std::fs::write(path, snap.to_json()).unwrap_or_else(|e| {
@@ -1038,7 +1033,8 @@ fn cmd_corpus_export(args: &Args) {
         exit(2);
     };
     let cfg = campaign_config(args);
-    let outcome = run_sharded(&cfg, &ParallelConfig::new(parse_workers(args)));
+    let pcfg = ParallelConfig::new(parse_workers(args));
+    let outcome = run_local(&cfg, &pcfg, &mut Telemetry::null());
     let snap = CorpusSnapshot::from_outputs(&cfg, &outcome.outputs, &outcome.result.findings);
     std::fs::write(out, snap.to_json()).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");

@@ -329,33 +329,15 @@ impl CorpusSnapshot {
 mod tests {
     use super::*;
     use crate::baseline::GeneratorKind;
-    use crate::fuzz::{
-        batch_count, merge_batches, run_campaign, CampaignResult, CampaignWorker, CorpusLedger,
-    };
-    use bvf_runtime::ExecScratch;
+    use crate::fuzz::{run_campaign, CampaignResult};
+    use crate::runner::{run_local, ParallelConfig};
     use bvf_telemetry::Telemetry;
 
-    /// Runs a small campaign through the public batch pieces and
-    /// returns its snapshot and merged result (the serial drivers do
-    /// not expose their batch outputs).
+    /// Runs a small campaign and returns its snapshot and merged result.
     fn campaign_snapshot(cfg: &CampaignConfig) -> (CorpusSnapshot, CampaignResult) {
-        let mut ledger = CorpusLedger::new(cfg);
-        let mut scratch = ExecScratch::new();
-        let mut tel = Telemetry::null();
-        let mut outputs = Vec::new();
-        for b in 0..batch_count(cfg) {
-            let seed = ledger.seed_for(cfg, b);
-            let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
-            while w.step(&mut tel, &mut scratch) {}
-            let out = w.into_output();
-            ledger.publish(b, out.ledger_entry());
-            outputs.push(out);
-        }
-        let result = merge_batches(cfg, &outputs, &mut tel);
-        (
-            CorpusSnapshot::from_outputs(cfg, &outputs, &result.findings),
-            result,
-        )
+        let outcome = run_local(cfg, &ParallelConfig::new(1), &mut Telemetry::null());
+        let snap = CorpusSnapshot::from_outputs(cfg, &outcome.outputs, &outcome.result.findings);
+        (snap, outcome.result)
     }
 
     fn small_config(iters: usize, seed: u64) -> CampaignConfig {

@@ -28,13 +28,14 @@
 //! # One scheduler
 //!
 //! Every runner leases, completes and requeues batches through one
-//! [`Schedule`]: the serial loop here ([`run_serial`], behind
-//! [`run_campaign`] and [`run_campaign_with_telemetry`]), the threads of
-//! `bvf-campaign`'s `run_sharded`, and the `bvf-fabric` coordinator. The
-//! schedule owns the [`CorpusLedger`] and the running [`Totals`] that
-//! progress lines and fabric status print; the runners differ only in
-//! who executes a leased batch. `--workers 1` bit-identity with any
-//! parallel schedule is therefore structural, not coincidental.
+//! [`Schedule`]: the local runner ([`run_local`], one lease loop on the
+//! caller's thread or on N threads, behind [`run_campaign`] and
+//! [`run_campaign_with_telemetry`]) and the `bvf-fabric` coordinator.
+//! The schedule owns the [`CorpusLedger`] and the running [`Totals`]
+//! that progress lines and fabric status print; the runners differ only
+//! in who executes a leased batch. `--workers 1` bit-identity with any
+//! parallel schedule is therefore structural: one worker and N workers
+//! run the same loop.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::io::IsTerminal;
@@ -61,6 +62,7 @@ use bvf_diff::DiffStats;
 use bvf_sancheck::SanStats;
 
 use crate::oracle::{judge, triage, Finding, Indicator};
+use crate::runner::{run_local, ParallelConfig};
 use crate::scenario::{run, RunConfig, Sanitation, Scenario};
 
 /// Global cap on feedback-corpus retention (seed view + local additions).
@@ -95,9 +97,10 @@ pub struct CampaignConfig {
     /// #3) is armed: verifier snapshots + interpreter traces + the
     /// concretization-membership check on every executed program.
     pub diff_oracle: bool,
-    /// Whether the verifier's fingerprint-bucketed explored-state index
-    /// is enabled. A pure filter — findings are identical either way —
-    /// kept toggleable for `prune_bench` and the determinism tests.
+    /// Whether the verifier's explored-state index (a structural
+    /// fingerprint filter over stored states) is enabled. A pure filter
+    /// — findings are identical either way — kept toggleable for
+    /// `prune_bench` and the determinism tests.
     pub prune_index: bool,
     /// Iterations per lease batch (the scheduling quantum). Batch `b`
     /// owns global iterations `[b * batch_len, ...)` and the RNG stream
@@ -307,7 +310,7 @@ impl CampaignResult {
 /// The dedup signature of a finding: the indicator plus the **sorted,
 /// deduplicated** components of every report that fired.
 ///
-/// Sorting matters for the parallel orchestrator: two workers can hit
+/// Sorting matters for parallel campaigns: two workers can hit
 /// the same underlying defect with the kernel emitting its reports in a
 /// different arrival order (e.g. a KASAN splat racing a lockdep splat),
 /// and cross-worker dedup must still see one signature.
@@ -706,11 +709,11 @@ impl Progress {
     }
 }
 
-/// One campaign's lease scheduler, and the only one: the serial loop
-/// ([`run_serial`]), `bvf-campaign`'s threads and the `bvf-fabric`
-/// coordinator all lease, complete and requeue batches through it. It
-/// owns the campaign's [`CorpusLedger`], its pending batches, the
-/// completed outputs and the running [`Totals`].
+/// One campaign's lease scheduler, and the only one: the local runner
+/// ([`run_local`]) and the `bvf-fabric` coordinator both lease, complete
+/// and requeue batches through it. It owns the campaign's
+/// [`CorpusLedger`], its pending batches, the completed outputs and the
+/// running [`Totals`].
 ///
 /// Policy: lease the lowest pending batch once the generations it seeds
 /// from have published. Readiness is monotone in the batch id, so only
@@ -838,47 +841,15 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
 }
 
 /// Runs one fuzzing campaign, recording metrics and trace events into
-/// `tel`: [`run_serial`] without progress lines, keeping only the result.
+/// `tel` as it runs: [`run_local`] at one worker, keeping only the
+/// result.
 ///
 /// Telemetry is strictly observational: no campaign decision (corpus
 /// retention, dedup, triage) reads a timestamp or metric back, so the
 /// returned [`CampaignResult`] is bit-identical whatever sink `tel`
 /// carries — `campaigns_are_deterministic` asserts exactly this.
 pub fn run_campaign_with_telemetry(cfg: &CampaignConfig, tel: &mut Telemetry) -> CampaignResult {
-    run_serial(cfg, tel, 0).0
-}
-
-/// The serial runner: one loop over a [`Schedule`] on the caller's
-/// thread, executing each leased batch with one reusable
-/// [`ExecScratch`], then folding the outputs with [`merge_batches`]. Any
-/// other schedule of the same batches merges to a bit-identical
-/// [`CampaignResult`]. Returns the batch outputs too, in batch order,
-/// for corpus snapshots; `stats_every` is the progress-line cadence
-/// (0 prints nothing).
-pub fn run_serial(
-    cfg: &CampaignConfig,
-    tel: &mut Telemetry,
-    stats_every: usize,
-) -> (CampaignResult, Vec<BatchOutput>) {
-    let mut schedule = Schedule::new(cfg, stats_every);
-    let mut scratch = ExecScratch::new();
-    // In batch order every earlier batch has completed, so the lowest
-    // pending batch is always ready.
-    while let Some(b) = schedule.lease() {
-        let mut w = CampaignWorker::lease(cfg.clone(), b, schedule.seed_for(b));
-        while w.step(tel, &mut scratch) {}
-        schedule.complete(w.into_output());
-    }
-    let outputs = schedule
-        .take_outputs()
-        .expect("the serial loop completes every batch");
-    let result = merge_batches(cfg, &outputs, tel);
-    tel.registry
-        .set_gauge("corpus_len", result.corpus_len as i64);
-    tel.registry
-        .set_gauge("coverage_points", result.coverage.len() as i64);
-    tel.finish();
-    (result, outputs)
+    run_local(cfg, &ParallelConfig::new(1), tel).result
 }
 
 /// The self-contained result of one lease batch, handed back to the

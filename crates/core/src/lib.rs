@@ -16,6 +16,8 @@
 //!   self-checks), plus automated differential triage (§3, §6.5);
 //! - [`fuzz`] — the campaign driver with verifier-branch-coverage
 //!   feedback and corpus mutation;
+//! - [`runner`] — the local campaign runner: one lease loop on the
+//!   caller's thread or on N worker threads;
 //! - [`baseline`] — Syzkaller-like and Buzzer-like generators for the
 //!   §6.3 comparison.
 //!
@@ -38,8 +40,10 @@ pub mod cli;
 pub mod corpus;
 pub mod fuzz;
 pub mod gen;
+pub mod join;
 pub mod minimize;
 pub mod oracle;
+pub mod runner;
 pub mod sanmatrix;
 pub mod scenario;
 
@@ -52,5 +56,6 @@ pub use fuzz::{
 pub use gen::{GenConfig, StructuredGen};
 pub use minimize::{minimize, MinimizeOutcome};
 pub use oracle::{classify_report, judge, triage, triage_san_defects, Finding, Indicator};
+pub use runner::{run_local, ParallelConfig, ParallelOutcome, WorkerSummary};
 pub use sanmatrix::{run_matrix, run_matrix_case, MatrixCaseResult, MatrixOutcome};
 pub use scenario::{run, RunConfig, Sanitation, Scenario, ScenarioOutcome, Trigger};

@@ -185,9 +185,10 @@ pub struct RunConfig {
     /// (Indicator #3).
     /// Under [`Sanitation::Dual`] it watches the sanitized run.
     pub diff_oracle: bool,
-    /// Whether the verifier's fingerprint-bucketed explored-state index
-    /// is on. A pure filter: verdicts and findings are identical either
-    /// way; only the number of `states_equal` calls changes.
+    /// Whether the verifier's explored-state index (a structural
+    /// fingerprint filter over stored states) is on. A pure filter:
+    /// verdicts and findings are identical either way; only the number
+    /// of `states_equal` calls changes.
     pub prune_index: bool,
 }
 

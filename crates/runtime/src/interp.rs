@@ -178,10 +178,14 @@ fn fnv_fold(mut h: u64, v: u64) -> u64 {
     h
 }
 
+/// A caller's frame, saved at a bpf-to-bpf call and restored at the
+/// callee's `exit`. Like the kernel's JITs, the callee preserves the
+/// callee-saved registers r6–r9 for its caller.
 #[derive(Clone, Copy)]
 struct Frame {
     return_pc: usize,
     stack_addr: u64,
+    callee_saved: [u64; 4],
 }
 
 /// Maximum nested bpf-to-bpf call frames (kernel `MAX_CALL_FRAMES - 1`).
@@ -329,6 +333,7 @@ pub fn exec_program_traced(
     let mut frames = [Frame {
         return_pc: 0,
         stack_addr: 0,
+        callee_saved: [0; 4],
     }; MAX_FRAMES];
     let mut nframes = 0usize;
     let mut stacks = [0u64; MAX_FRAMES + 1];
@@ -597,6 +602,7 @@ pub fn exec_program_traced(
                     frames[nframes] = Frame {
                         return_pc: pc + 1,
                         stack_addr: regs[Reg::R10.index()],
+                        callee_saved: Reg::CALLEE_SAVED.map(|r| regs[r.index()]),
                     };
                     nframes += 1;
                     stacks[nstacks] = new_stack;
@@ -612,6 +618,9 @@ pub fn exec_program_traced(
                     nstacks -= 1;
                     kernel.mm.kfree(stacks[nstacks]);
                     regs[Reg::R10.index()] = f.stack_addr;
+                    for (r, v) in Reg::CALLEE_SAVED.into_iter().zip(f.callee_saved) {
+                        regs[r.index()] = v;
+                    }
                     next = f.return_pc;
                 } else {
                     r0_out = Some(regs[Reg::R0.index()]);

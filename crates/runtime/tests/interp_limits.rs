@@ -120,6 +120,34 @@ fn helper_call_preserves_callee_saved_regs() {
 }
 
 #[test]
+fn subprog_call_preserves_callee_saved_regs() {
+    // Main sets R6-R9, calls a subprogram that overwrites all four, and
+    // folds them into R0: the caller must read back its own values.
+    let p = Program::from_insns(vec![
+        asm::mov64_imm(Reg::R6, 1000),
+        asm::mov64_imm(Reg::R7, 200),
+        asm::mov64_imm(Reg::R8, 30),
+        asm::mov64_imm(Reg::R9, 4),
+        asm::call_pseudo(5),
+        asm::mov64_reg(Reg::R0, Reg::R6),
+        asm::alu64_reg(AluOp::Add, Reg::R0, Reg::R7),
+        asm::alu64_reg(AluOp::Add, Reg::R0, Reg::R8),
+        asm::alu64_reg(AluOp::Add, Reg::R0, Reg::R9),
+        asm::exit(),
+        // callee:
+        asm::mov64_imm(Reg::R6, -1),
+        asm::mov64_imm(Reg::R7, -1),
+        asm::mov64_imm(Reg::R8, -1),
+        asm::mov64_imm(Reg::R9, -1),
+        asm::mov64_imm(Reg::R0, 0),
+        asm::exit(),
+    ]);
+    let mut b = bpf();
+    let id = b.prog_load(&p, ProgType::SocketFilter, false).unwrap();
+    assert_eq!(b.test_run(id).unwrap().exec.r0, Some(1234));
+}
+
+#[test]
 fn subprog_frames_have_private_stacks() {
     // Caller writes 42 at fp-8; callee writes 99 at its own fp-8; the
     // caller's slot must be intact after the call.

@@ -73,9 +73,15 @@ impl Telemetry {
         self.sink.emit(event);
     }
 
-    /// Flushes the sink.
-    pub fn finish(&mut self) {
-        self.sink.flush();
+    /// Replays one trace event that `worker` emitted at `at`
+    /// ([`TraceSink::emit_from`]).
+    pub fn emit_from(&mut self, worker: usize, at: std::time::Instant, event: &TraceEvent) {
+        self.sink.emit_from(worker, at, event);
+    }
+
+    /// Flushes the sink, returning the first write error it met.
+    pub fn finish(&mut self) -> std::io::Result<()> {
+        self.sink.flush()
     }
 }
 
@@ -96,6 +102,6 @@ mod tests {
         });
         tel.registry.inc("iterations");
         assert_eq!(tel.registry.counter("iterations"), 1);
-        tel.finish();
+        tel.finish().expect("the null sink cannot fail");
     }
 }

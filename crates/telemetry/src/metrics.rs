@@ -69,9 +69,9 @@ impl Histogram {
     /// Folds another histogram into this one, as if every sample recorded
     /// into `other` had been recorded here. Bucket tables are summed
     /// exactly; `min`/`max`/`count`/`sum` aggregate losslessly, so the
-    /// merge is associative and commutative — the property the parallel
-    /// campaign orchestrator relies on when it folds per-worker
-    /// registries in worker-id order.
+    /// merge is associative and commutative — the property the local
+    /// campaign runner relies on when it folds per-worker registries in
+    /// worker-id order.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;

@@ -47,9 +47,6 @@ pub struct PruneCounters {
     /// Candidate comparisons skipped because the structural fingerprint
     /// proved subsumption impossible.
     pub fingerprint_filtered: u64,
-    /// Explored-scan comparisons skipped because the loop-detector
-    /// ancestor walk already compared that exact stored state.
-    pub loop_scan_shared: u64,
     /// Evictions at `MAX_STATES_PER_POINT` (either direction: a stored
     /// state replaced, or the incoming state dropped as most specific).
     pub evictions: u64,
@@ -87,7 +84,6 @@ impl PruneCounters {
         reg.add("prune.hits", self.hits);
         reg.add("prune.states_equal_calls", self.states_equal_calls);
         reg.add("prune.fingerprint_filtered", self.fingerprint_filtered);
-        reg.add("prune.loop_scan_shared", self.loop_scan_shared);
         reg.add("prune.evictions", self.evictions);
         reg.add("prune.points", self.points);
         reg.add("prune.states_stored", self.states_stored);

@@ -351,8 +351,20 @@ pub trait TraceSink {
     /// Receives one event.
     fn emit(&mut self, event: &TraceEvent);
 
-    /// Flushes buffered output (end of campaign).
-    fn flush(&mut self) {}
+    /// Receives one event that worker `worker` of a multi-worker
+    /// campaign emitted at `at`, replayed after the campaign's merge.
+    /// The default drops both and calls [`TraceSink::emit`].
+    fn emit_from(&mut self, worker: usize, at: Instant, event: &TraceEvent) {
+        let _ = (worker, at);
+        self.emit(event);
+    }
+
+    /// Flushes buffered output (end of campaign), returning the first
+    /// write error the sink met, so a truncated trace cannot pass for a
+    /// whole one.
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 
     /// Whether emitting does anything; hot loops skip building event
     /// payloads when it does not.
@@ -373,18 +385,15 @@ impl TraceSink for NullSink {
 }
 
 /// Writes events as JSON Lines, one object per event, each stamped with
-/// `t_ns` — monotonic nanoseconds since the sink's epoch (creation time
-/// by default).
-///
-/// A parallel campaign gives every worker its own `JsonlSink` tagged
-/// with [`JsonlSink::with_worker`] and anchored to one shared epoch via
-/// [`JsonlSink::with_epoch`], so per-worker streams carry comparable
-/// timestamps and the orchestrator can interleave them into a single
-/// worker-attributed trace.
+/// `t_ns` — monotonic nanoseconds since the sink's epoch (its creation
+/// time). An event replayed through [`TraceSink::emit_from`] is stamped
+/// with the instant it was emitted and also carries a `"worker": id`
+/// member. After a write fails the sink writes nothing more, and
+/// [`TraceSink::flush`] returns that error.
 pub struct JsonlSink<W: Write> {
     w: W,
     epoch: Instant,
-    worker: Option<u64>,
+    error: Option<std::io::Error>,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -393,46 +402,51 @@ impl<W: Write> JsonlSink<W> {
         JsonlSink {
             w,
             epoch: Instant::now(),
-            worker: None,
+            error: None,
         }
-    }
-
-    /// Tags every emitted record with a `"worker": id` member.
-    pub fn with_worker(mut self, id: u64) -> JsonlSink<W> {
-        self.worker = Some(id);
-        self
-    }
-
-    /// Anchors `t_ns` to a caller-provided epoch instead of the sink's
-    /// creation time, so several sinks share one clock origin.
-    pub fn with_epoch(mut self, epoch: Instant) -> JsonlSink<W> {
-        self.epoch = epoch;
-        self
     }
 
     /// Consumes the sink, returning the writer.
     pub fn into_inner(self) -> W {
         self.w
     }
-}
 
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn emit(&mut self, event: &TraceEvent) {
+    fn write(&mut self, event: &TraceEvent, at: Instant, worker: Option<usize>) {
+        if self.error.is_some() {
+            return;
+        }
         let mut value = match serde_json::to_value(event) {
             Ok(serde_json::Value::Object(map)) => map,
             _ => return,
         };
-        let t_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let t_ns =
+            u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX);
         value.insert("t_ns".to_string(), serde_json::json!(t_ns));
-        if let Some(w) = self.worker {
+        if let Some(w) = worker {
             value.insert("worker".to_string(), serde_json::json!(w));
         }
-        let _ = serde_json::to_writer(&mut self.w, &value);
-        let _ = self.w.write_all(b"\n");
+        let Ok(mut line) = serde_json::to_string(&value) else {
+            return;
+        };
+        line.push('\n');
+        self.error = self.w.write_all(line.as_bytes()).err();
+    }
+}
+
+impl<W: Write> TraceSink for JsonlSink<W> {
+    fn emit(&mut self, event: &TraceEvent) {
+        self.write(event, Instant::now(), None);
     }
 
-    fn flush(&mut self) {
-        let _ = self.w.flush();
+    fn emit_from(&mut self, worker: usize, at: Instant, event: &TraceEvent) {
+        self.write(event, at, Some(worker));
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match &self.error {
+            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
+            None => self.w.flush(),
+        }
     }
 }
 
@@ -500,7 +514,7 @@ mod tests {
         for e in &events {
             sink.emit(e);
         }
-        sink.flush();
+        sink.flush().expect("writes into a Vec cannot fail");
         let bytes = sink.into_inner();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -518,25 +532,80 @@ mod tests {
     }
 
     #[test]
-    fn worker_tag_and_shared_epoch() {
-        let epoch = Instant::now();
-        let mut sink = JsonlSink::new(Vec::new()).with_worker(3).with_epoch(epoch);
+    fn emit_from_tags_the_worker_and_stamps_the_recorded_instant() {
+        let mut sink = JsonlSink::new(Vec::new());
+        let at = sink.epoch + std::time::Duration::from_nanos(12_345);
         for e in sample_events() {
-            sink.emit(&e);
+            sink.emit_from(3, at, &e);
         }
         let text = String::from_utf8(sink.into_inner()).unwrap();
-        for line in text.lines() {
+        for (line, original) in text.lines().zip(sample_events()) {
             let v: serde_json::Value = serde_json::from_str(line).unwrap();
             assert_eq!(v["worker"].as_u64(), Some(3));
+            // Measured from the sink's epoch to the recorded instant, not
+            // to the time of writing.
+            assert_eq!(v["t_ns"].as_u64(), Some(12_345));
             // The worker tag is an ignorable extra, like t_ns.
-            let _: TraceEvent = serde_json::from_str(line).unwrap();
+            let back: TraceEvent = serde_json::from_str(line).unwrap();
+            assert_eq!(back, original);
         }
-        // An untagged sink emits no worker member.
+        // A live event carries no worker member.
         let mut plain = JsonlSink::new(Vec::new());
         plain.emit(&sample_events()[0]);
         let text = String::from_utf8(plain.into_inner()).unwrap();
         let v: serde_json::Value = serde_json::from_str(text.lines().next().unwrap()).unwrap();
         assert!(v.get("worker").is_none());
+    }
+
+    #[test]
+    fn an_emit_only_sink_receives_replayed_events_unchanged() {
+        struct Keep(Vec<TraceEvent>);
+        impl TraceSink for Keep {
+            fn emit(&mut self, event: &TraceEvent) {
+                self.0.push(event.clone());
+            }
+        }
+        let mut sink = Keep(Vec::new());
+        for (w, e) in sample_events().iter().enumerate() {
+            sink.emit_from(w, Instant::now(), e);
+        }
+        assert_eq!(sink.0, sample_events());
+    }
+
+    #[test]
+    fn the_first_write_error_is_kept_for_flush() {
+        /// A writer that accepts `room` bytes, then fails.
+        struct Full {
+            room: usize,
+            written: Vec<u8>,
+        }
+        impl Write for Full {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if buf.len() > self.room {
+                    return Err(std::io::ErrorKind::StorageFull.into());
+                }
+                self.room -= buf.len();
+                self.written.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let events = sample_events();
+        let mut sink = JsonlSink::new(Full {
+            room: 120,
+            written: Vec::new(),
+        });
+        for e in &events {
+            sink.emit(e);
+        }
+        let err = sink.flush().expect_err("the trace was cut short");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+        assert_eq!(sink.flush().map_err(|e| e.kind()), Err(err.kind()));
+        // The first event fits; nothing after the failed one is written.
+        let text = String::from_utf8(sink.into_inner().written).unwrap();
+        assert_eq!(text.lines().count(), 1);
     }
 
     #[test]

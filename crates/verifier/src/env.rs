@@ -81,11 +81,11 @@ pub struct VerifierOpts {
     /// walk (consumed by the `bvf-diff` differential oracle). Off by
     /// default: plain loads pay nothing.
     pub snapshots: bool,
-    /// Use the fingerprint-bucketed explored-state index to skip
-    /// `states_equal` candidates whose structural shape cannot subsume
-    /// the current state. A pure filter — verdicts, coverage, and
-    /// findings are identical with it off (the slow path exists for
-    /// differential testing and benchmarks).
+    /// Use the explored-state index — the structural fingerprint of
+    /// each stored state — to skip `states_equal` candidates whose
+    /// shape cannot subsume the current state. A pure filter —
+    /// verdicts, coverage, and findings are identical with it off (the
+    /// slow path exists for differential testing and benchmarks).
     pub prune_index: bool,
 }
 
@@ -182,7 +182,7 @@ pub struct Verifier<'a> {
     pub(crate) next_id: u32,
     /// Per-slot metadata.
     pub(crate) insn_meta: Vec<InsnMeta>,
-    /// States remembered at each prune point, bucketed by fingerprint,
+    /// States remembered at each prune point, with their fingerprints,
     /// indexed by slot; `Some` exactly at the prune points (control-flow
     /// joins, back-edge targets and subprogram entries).
     pub(crate) explored: Vec<Option<crate::shape::ExploredPoint>>,

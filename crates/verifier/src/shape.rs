@@ -191,8 +191,8 @@ impl FrameShape {
 pub struct StateShape {
     /// Hash of the exact-equality preconditions of `states_equal`
     /// (frame count, acquired-ref count, per-frame callsite and
-    /// subprogram start). States in different buckets can never be
-    /// equal, so this keys the per-prune-point index.
+    /// subprogram start). States with different keys can never be
+    /// equal, so [`StateShape::may_subsume`] compares it first.
     bucket: u64,
     /// See [`StateShape::permissiveness`].
     permissiveness: u64,
@@ -234,7 +234,7 @@ impl StateShape {
         }
     }
 
-    /// The index-bucket key.
+    /// The bucket key: the hash of the exact-equality preconditions.
     pub fn bucket(&self) -> u64 {
         self.bucket
     }
@@ -254,7 +254,8 @@ impl StateShape {
     /// subsume a current state with shape `cur`. `false` guarantees
     /// `states_equal(old, cur) == false`.
     pub fn may_subsume(&self, cur: &StateShape) -> bool {
-        self.calls.len() == cur.calls.len()
+        self.bucket == cur.bucket
+            && self.calls.len() == cur.calls.len()
             && self.main.may_subsume(&cur.main)
             && self
                 .calls
@@ -284,8 +285,7 @@ pub(crate) fn reg_permissiveness(r: &RegState) -> u64 {
 
 /// A state stored at a prune-point visit, with the fingerprint taken
 /// there. The path-trace node made at the same visit shares it, so the
-/// loop scan and the explored scan recognize the same candidate by
-/// pointer identity.
+/// loop scan and the explored scan read one copy of the state.
 #[derive(Debug, Clone)]
 pub struct ExploredEntry {
     /// The stored state.
@@ -294,15 +294,12 @@ pub struct ExploredEntry {
     pub shape: StateShape,
 }
 
-/// The per-prune-point explored-state index: insertion-ordered entries
-/// plus a fingerprint-bucket map so the fast path only scans candidates
-/// whose discrete shape can possibly subsume the current state.
+/// The per-prune-point explored-state index: the stored entries, which
+/// the explored scan reads in order, filtering them through
+/// [`StateShape::may_subsume`] when the index is on.
 #[derive(Debug, Clone, Default)]
 pub struct ExploredPoint {
     entries: Vec<Rc<ExploredEntry>>,
-    /// `(bucket key, entry indices in scan order)`, one pair per key
-    /// that has entries.
-    buckets: Vec<(u64, Vec<usize>)>,
     /// Index of the least permissive entry, the first one on ties.
     least: usize,
 }
@@ -323,14 +320,6 @@ impl ExploredPoint {
         &self.entries
     }
 
-    /// Indices of the entries whose bucket key matches `bucket`.
-    pub fn bucket_candidates(&self, bucket: u64) -> &[usize] {
-        self.buckets
-            .iter()
-            .find(|(b, _)| *b == bucket)
-            .map_or(&[], |(_, v)| v.as_slice())
-    }
-
     /// Stores `entry`, evicting the most specific resident state when
     /// the point is at `cap`. The incoming state is itself dropped when
     /// it is the most specific of the lot — the states most likely to
@@ -347,7 +336,6 @@ impl ExploredPoint {
             if idx == 0 || score < self.entries[self.least].shape.permissiveness() {
                 self.least = idx;
             }
-            self.bucket_push(entry.shape.bucket(), idx);
             self.entries.push(entry);
             return false;
         }
@@ -357,17 +345,7 @@ impl ExploredPoint {
             // drop it instead.
             return true;
         }
-        let old_bucket = self.entries[idx].shape.bucket();
-        if let Some(at) = self.buckets.iter().position(|(b, _)| *b == old_bucket) {
-            let v = &mut self.buckets[at].1;
-            v.retain(|&i| i != idx);
-            if v.is_empty() {
-                self.buckets.swap_remove(at);
-            }
-        }
-        // Entry indices are stable (in-place replacement), so the other
-        // bucket vectors stay valid.
-        self.bucket_push(entry.shape.bucket(), idx);
+        // Replace in place: the other entries keep their positions.
         self.entries[idx] = entry;
         self.least = self
             .entries
@@ -377,13 +355,6 @@ impl ExploredPoint {
             .map(|(i, _)| i)
             .expect("cap > 0");
         true
-    }
-
-    fn bucket_push(&mut self, bucket: u64, idx: usize) {
-        match self.buckets.iter_mut().find(|(b, _)| *b == bucket) {
-            Some((_, v)) => v.push(idx),
-            None => self.buckets.push((bucket, vec![idx])),
-        }
     }
 }
 
@@ -472,6 +443,10 @@ mod tests {
             StateShape::of(&two).bucket(),
             StateShape::of(&two_other_callsite).bucket()
         );
+        // The key alone keeps apart states whose frames look alike.
+        let mut held = entry_state();
+        held.acquire_ref(&mut 0, 0);
+        assert!(!StateShape::of(&one).may_subsume(&StateShape::of(&held)));
     }
 
     #[test]
@@ -522,46 +497,28 @@ mod tests {
     #[test]
     fn eviction_matches_a_full_scan() {
         use rand::{Rng, SeedableRng};
-        use std::collections::HashMap;
 
-        // The policy as a full scan on every insert: scores by index,
-        // and per bucket the entry indices in scan order.
-        #[derive(Default)]
-        struct Model {
-            scores: Vec<u64>,
-            buckets: HashMap<u64, Vec<usize>>,
-        }
-        impl Model {
-            fn insert(&mut self, score: u64, bucket: u64, cap: usize) {
-                let idx = if self.scores.len() < cap {
-                    self.scores.push(score);
-                    self.scores.len() - 1
-                } else {
-                    let (idx, &least) = self
-                        .scores
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, s)| **s)
-                        .expect("cap > 0");
-                    if score <= least {
-                        return;
-                    }
-                    self.scores[idx] = score;
-                    for v in self.buckets.values_mut() {
-                        v.retain(|&i| i != idx);
-                    }
-                    idx
-                };
-                self.buckets.entry(bucket).or_default().push(idx);
+        // The policy as a full scan on every insert: scores by position.
+        fn model_insert(scores: &mut Vec<u64>, score: u64, cap: usize) {
+            if scores.len() < cap {
+                scores.push(score);
+                return;
+            }
+            let (idx, &least) = scores
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| **s)
+                .expect("cap > 0");
+            if score > least {
+                scores[idx] = score;
             }
         }
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for _ in 0..200 {
-            let (mut point, mut model) = (ExploredPoint::default(), Model::default());
+            let (mut point, mut model) = (ExploredPoint::default(), Vec::new());
             for _ in 0..40 {
-                // Few distinct scores, so ties are common; a held
-                // reference moves the state to another bucket.
+                // Few distinct scores, so ties are common.
                 let mut state = entry_state();
                 for i in 0..4 {
                     state.cur_mut().regs[i] = match rng.gen_range(0..3) {
@@ -574,31 +531,18 @@ mod tests {
                     state.acquire_ref(&mut 0, 0);
                 }
                 let e = entry(state);
-                let (score, bucket) = (e.shape.permissiveness(), e.shape.bucket());
+                let score = e.shape.permissiveness();
                 let full = point.len() == 4;
                 let evicted = point.insert(e, 4);
-                model.insert(score, bucket, 4);
+                model_insert(&mut model, score, 4);
                 assert_eq!(evicted, full);
                 let scores: Vec<u64> = point
                     .entries()
                     .iter()
                     .map(|e| e.shape.permissiveness())
                     .collect();
-                assert_eq!(scores, model.scores);
-                for (b, v) in &model.buckets {
-                    assert_eq!(point.bucket_candidates(*b), v.as_slice());
-                }
+                assert_eq!(scores, model);
             }
         }
-    }
-
-    #[test]
-    fn bucket_candidates_track_evictions() {
-        let mut point = ExploredPoint::default();
-        let e = entry(entry_state());
-        let bucket = e.shape.bucket();
-        point.insert(e, 4);
-        assert_eq!(point.bucket_candidates(bucket), &[0]);
-        assert!(point.bucket_candidates(bucket ^ 1).is_empty());
     }
 }

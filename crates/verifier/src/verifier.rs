@@ -31,9 +31,7 @@ const MAX_STATES_PER_POINT: usize = 32;
 struct PathNode {
     pc: usize,
     /// The state and fingerprint of this visit, shared with the
-    /// explored-index entry created at the same visit, so the loop scan
-    /// and the explored scan can recognize the same candidate by `Rc`
-    /// pointer identity and never compare it twice.
+    /// explored-index entry created at the same visit.
     visit: Rc<ExploredEntry>,
     parent: Option<Rc<PathNode>>,
 }
@@ -356,14 +354,10 @@ impl<'a> Verifier<'a> {
                     self.timings.prune.checks += 1;
 
                     // Loop detection first, so the "infinite loop"
-                    // verdict cannot be masked by a prune. States it
-                    // actually compares are remembered by Rc identity;
-                    // the explored scan below shares them so each
-                    // (pc, state) pair is compared at most once per
-                    // visit. The fingerprint filter only skips
-                    // comparisons that must return false, so the
-                    // verdict is identical with the index off.
-                    let mut ancestors_compared: Vec<*const ExploredEntry> = Vec::new();
+                    // verdict cannot be masked by a prune. The
+                    // fingerprint filter only skips comparisons that
+                    // must return false, so the verdict is identical with
+                    // the index off.
                     let mut node = trace.as_ref();
                     let mut scanned = 0;
                     let mut candidates = 0;
@@ -387,54 +381,31 @@ impl<'a> Verifier<'a> {
                                         format!("infinite loop detected at insn {pc}"),
                                     ));
                                 }
-                                ancestors_compared.push(Rc::as_ptr(&n.visit));
                             }
                         }
                         node = n.parent.as_ref();
                     }
 
                     // Explored-state scan. With the index on, only
-                    // bucket-matched, shape-compatible candidates reach
-                    // states_equal; "any candidate subsumes" is
-                    // order-insensitive, so both modes reach the same
-                    // prune decision.
+                    // shape-compatible candidates reach states_equal;
+                    // "any candidate subsumes" is order-insensitive, so
+                    // both modes reach the same prune decision.
                     let total = point.len() as u64;
                     let mut calls = 0u64;
-                    let mut shared = 0u64;
                     let mut hit = false;
-                    if use_index {
-                        for &i in point.bucket_candidates(cur_shape.bucket()) {
-                            let e = &point.entries()[i];
-                            if !e.shape.may_subsume(&cur_shape) {
-                                continue;
-                            }
-                            if ancestors_compared.contains(&Rc::as_ptr(e)) {
-                                shared += 1;
-                                continue;
-                            }
-                            calls += 1;
-                            if states_equal(&e.state, &state) {
-                                hit = true;
-                                break;
-                            }
+                    for e in point.entries() {
+                        if use_index && !e.shape.may_subsume(&cur_shape) {
+                            continue;
                         }
-                    } else {
-                        for e in point.entries() {
-                            if ancestors_compared.contains(&Rc::as_ptr(e)) {
-                                shared += 1;
-                                continue;
-                            }
-                            calls += 1;
-                            if states_equal(&e.state, &state) {
-                                hit = true;
-                                break;
-                            }
+                        calls += 1;
+                        if states_equal(&e.state, &state) {
+                            hit = true;
+                            break;
                         }
                     }
                     self.timings.prune.states_equal_calls += calls;
-                    self.timings.prune.loop_scan_shared += shared;
                     if use_index && !hit {
-                        self.timings.prune.fingerprint_filtered += total - shared - calls;
+                        self.timings.prune.fingerprint_filtered += total - calls;
                     }
                     if hit {
                         self.timings.prune.hits += 1;
@@ -444,8 +415,7 @@ impl<'a> Verifier<'a> {
                     }
                     self.cov.hit(Cat::Prune, 0, 0);
                     // One shared visit feeds both the explored index and
-                    // the path trace — that sharing is what lets the two
-                    // scans recognize each other's candidates.
+                    // the path trace.
                     let visit = Rc::new(ExploredEntry {
                         state: state.clone(),
                         shape: cur_shape,

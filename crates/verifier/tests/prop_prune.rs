@@ -2,7 +2,8 @@
 //!
 //! The fast path skips a `states_equal(old, cur)` comparison whenever
 //! `StateShape::of(old).may_subsume(&StateShape::of(cur))` is `false`
-//! (or the bucket keys differ). That is only sound if the implication
+//! (it compares the bucket keys first). That is only sound if the
+//! implication
 //!
 //! ```text
 //! states_equal(old, cur)  ⇒  bucket(old) == bucket(cur)

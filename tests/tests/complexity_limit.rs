@@ -52,7 +52,6 @@ fn stack_loop_exploration_is_pinned() {
             hits: 0,
             states_equal_calls: 0,
             fingerprint_filtered: 913186,
-            loop_scan_shared: 0,
             evictions: 14253,
             points: 2,
             states_stored: 34,
@@ -72,7 +71,6 @@ fn counter_loop_exploration_is_pinned() {
             hits: 0,
             states_equal_calls: 0,
             fingerprint_filtered: 2132128,
-            loop_scan_shared: 0,
             evictions: 33299,
             points: 2,
             states_stored: 33,

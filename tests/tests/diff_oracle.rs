@@ -54,13 +54,14 @@ fn diff_config(bugs: BugSet) -> RunConfig {
     }
 }
 
-fn load_fixture() -> Scenario {
-    let json = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/fixtures/indicator3_or_bounds.json"
-    ))
-    .expect("fixture must exist");
+fn fixture(name: &str) -> Scenario {
+    let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let json = std::fs::read_to_string(path).expect("fixture must exist");
     serde_json::from_str(&json).expect("fixture must parse")
+}
+
+fn load_fixture() -> Scenario {
+    fixture("indicator3_or_bounds.json")
 }
 
 #[test]
@@ -129,6 +130,28 @@ fn diff_oracle_silent_on_fixed_kernel() {
             .iter()
             .map(|f| f.signature.clone())
             .collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn callee_saved_registers_survive_a_subprogram_call() {
+    // Minimized from `bvf fuzz --iters 7100 --seed 107 --bugs none
+    // --diff-oracle`, iteration 7066: main sets r7 and calls a
+    // subprogram that sets r7 = 229 and calls a helper. The verifier
+    // proves r7 preserved across the call, as the kernel's JITs keep
+    // it; an interpreter that leaked the callee's r7 into its caller
+    // reported `Three:statediv:r7` on a defect-free kernel.
+    let s = fixture("difforacle_callee_saved_r7.json");
+    let out = run(&s, &diff_config(BugSet::none()), &mut ExecScratch::new());
+    assert!(out.accepted(), "fixture must verify: {:?}", out.load);
+    assert!(
+        out.diff.steps_checked > 0,
+        "diff oracle must check the trace"
+    );
+    assert!(
+        judge(&s, &out).is_none(),
+        "defect-free kernel must not diverge: {:?}",
+        out.reports
     );
 }
 
