@@ -5,6 +5,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use bvf::corpus::CorpusSnapshot;
+
 fn bvf(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bvf"))
         .args(args)
@@ -425,4 +427,57 @@ fn report_splits_verifier_time_by_verdict() {
         .unwrap_or_else(|| panic!("no complexity_limit rejections in {stdout}"));
     assert_eq!(field(reason_row, "complexity_limit"), limit, "{stdout}");
     assert!(limit >= 1, "{stdout}");
+}
+
+#[test]
+fn snapshots_with_impossible_iteration_ranges_exit_1() {
+    // Each broken copy of the committed snapshot (3 batches of 32) once
+    // passed `corpus info`, `corpus import` and `fuzz --corpus-in`; an
+    // overflowing batch made a debug build's import panic.
+    let fixture = format!(
+        "{}/tests/fixtures/corpus_snapshot_v1.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(fixture).expect("fixture");
+    let good = CorpusSnapshot::from_json(&text).expect("fixture validates");
+    type Break = fn(&mut CorpusSnapshot);
+    let cases: [(&str, Break); 4] = [
+        ("batch_len is 0", |s| s.batch_len = 0),
+        ("batch 1 runs 33 iterations", |s| {
+            s.batches[1].iterations = 33;
+            s.iterations = 97;
+        }),
+        ("batch 2 iteration range", |s| {
+            s.batches[2].start = usize::MAX - 10
+        }),
+        ("header claims 4611686018427387904 iterations", |s| {
+            s.iterations = 1 << 62
+        }),
+    ];
+    let dir = std::env::temp_dir().join(format!("bvf-cli-corpus-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let merged = dir.join("merged.json");
+    let merged = merged.to_str().expect("utf-8 temp path");
+    for (i, (needle, br)) in cases.into_iter().enumerate() {
+        let mut bad = good.clone();
+        br(&mut bad);
+        let path = dir.join(format!("bad{i}.json"));
+        std::fs::write(&path, bad.to_json()).expect("write snapshot");
+        let path = path.to_str().expect("utf-8 temp path");
+        for args in [
+            vec!["corpus", "info", path],
+            vec!["corpus", "import", path, "--out", merged],
+            vec!["fuzz", "--iters", "10", "--corpus-in", path],
+        ] {
+            let out = bvf(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        }
+        assert!(
+            !std::path::Path::new(merged).exists(),
+            "{needle}: merged file written"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -78,7 +78,8 @@ pub struct CorpusSnapshot {
     pub seed: u64,
     /// Total iterations behind this snapshot (summed by merge).
     pub iterations: usize,
-    /// Lease batch length of the source campaign.
+    /// Lease batch length of the source campaign (the longest of the
+    /// sources' after merging).
     pub batch_len: usize,
     /// Corpus-exchange generation length of the source campaign, in
     /// iterations.
@@ -135,7 +136,10 @@ impl CorpusSnapshot {
         }
     }
 
-    /// Checks the self-description and the batch-order invariants.
+    /// Checks the self-description, the batch-order invariants and the
+    /// iteration ranges: a nonzero `batch_len`, no batch longer than it
+    /// or ending past `usize::MAX`, and a header `iterations` equal to
+    /// the batches' sum.
     pub fn validate(&self) -> Result<(), String> {
         if self.format != CORPUS_FORMAT {
             return Err(format!(
@@ -149,7 +153,11 @@ impl CorpusSnapshot {
                 self.version, CORPUS_FORMAT_VERSION
             ));
         }
+        if self.batch_len == 0 {
+            return Err("batch_len is 0".to_string());
+        }
         let mut prev: Option<usize> = None;
+        let mut total: Option<usize> = Some(0);
         for b in &self.batches {
             if prev.is_some_and(|p| p >= b.batch) {
                 return Err(format!("batch ids not strictly increasing at {}", b.batch));
@@ -158,6 +166,27 @@ impl CorpusSnapshot {
             if b.coverage.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("batch {} coverage not sorted/deduped", b.batch));
             }
+            if b.iterations > self.batch_len {
+                return Err(format!(
+                    "batch {} runs {} iterations, more than batch_len {}",
+                    b.batch, b.iterations, self.batch_len
+                ));
+            }
+            if b.start.checked_add(b.iterations).is_none() {
+                return Err(format!(
+                    "batch {} iteration range {}+{} overflows",
+                    b.batch, b.start, b.iterations
+                ));
+            }
+            total = total.and_then(|t| t.checked_add(b.iterations));
+        }
+        if total != Some(self.iterations) {
+            let held = total.map_or_else(|| "overflowing".to_string(), |t| t.to_string());
+            return Err(format!(
+                "header claims {} iterations but its {} batches run {held}",
+                self.iterations,
+                self.batches.len()
+            ));
         }
         Ok(())
     }
@@ -191,6 +220,10 @@ impl CorpusSnapshot {
     /// Batches of *different* campaigns share ids by construction (both
     /// number from 0) and interleave fine.
     pub fn merge(snapshots: Vec<CorpusSnapshot>) -> Result<CorpusSnapshot, String> {
+        for (source, snap) in snapshots.iter().enumerate() {
+            snap.validate()
+                .map_err(|e| format!("snapshot #{}: {e}", source + 1))?;
+        }
         // Distinct batch ids per campaign, plus each non-empty batch's
         // iteration interval. Intervals sort by (generator, seed,
         // start) — NOT batch id, which a prior renumbering merge may
@@ -237,10 +270,14 @@ impl CorpusSnapshot {
                 ));
             }
         }
-        Ok(Self::merge_unchecked(snapshots))
+        let iterations = snapshots
+            .iter()
+            .try_fold(0usize, |n, s| n.checked_add(s.iterations))
+            .ok_or("the snapshots' iteration counts overflow when summed")?;
+        Ok(Self::merge_unchecked(snapshots, iterations))
     }
 
-    fn merge_unchecked(snapshots: Vec<CorpusSnapshot>) -> CorpusSnapshot {
+    fn merge_unchecked(snapshots: Vec<CorpusSnapshot>, iterations: usize) -> CorpusSnapshot {
         let generator = {
             let mut names: Vec<&str> = snapshots.iter().map(|s| s.generator.as_str()).collect();
             names.dedup();
@@ -250,9 +287,9 @@ impl CorpusSnapshot {
             }
         };
         let seed = snapshots.first().map_or(0, |s| s.seed);
-        let batch_len = snapshots.first().map_or(0, |s| s.batch_len);
+        // The longest source batch bounds every merged one.
+        let batch_len = snapshots.iter().map(|s| s.batch_len).max().unwrap_or(0);
         let exchange_every = snapshots.first().map_or(0, |s| s.exchange_every);
-        let iterations = snapshots.iter().map(|s| s.iterations).sum();
 
         let mut records: Vec<(usize, usize, SnapshotBatch)> = Vec::new();
         for (source, snap) in snapshots.into_iter().enumerate() {
@@ -470,9 +507,64 @@ mod tests {
         let cfg = small_config(32, 1);
         let mut snap = CorpusSnapshot::from_outputs(&cfg, &[], &[]);
         snap.format = "something-else".to_string();
-        assert!(snap.validate().is_err());
+        assert!(snap
+            .validate()
+            .unwrap_err()
+            .contains("not a bvf-corpus file"));
         snap.format = CORPUS_FORMAT.to_string();
         snap.version = CORPUS_FORMAT_VERSION + 1;
-        assert!(snap.validate().is_err());
+        assert!(snap.validate().unwrap_err().contains("unsupported"));
+    }
+
+    #[test]
+    fn validate_rejects_impossible_iteration_ranges() {
+        let (snap, _) = campaign_snapshot(&small_config(96, 7));
+        assert_eq!((snap.batch_len, snap.batches.len()), (32, 3));
+        assert!(snap.validate().is_ok());
+        type Break = fn(&mut CorpusSnapshot);
+        let cases: [(&str, Break); 4] = [
+            ("batch_len is 0", |s| s.batch_len = 0),
+            ("batch 1 runs 33 iterations, more than batch_len 32", |s| {
+                s.batches[1].iterations += 1;
+                s.iterations += 1;
+            }),
+            ("batch 2 iteration range", |s| {
+                s.batches[2].start = usize::MAX - 10
+            }),
+            ("header claims 4611686018427387904 iterations", |s| {
+                s.iterations = 1 << 62
+            }),
+        ];
+        for (needle, br) in cases {
+            let mut bad = snap.clone();
+            br(&mut bad);
+            let err = CorpusSnapshot::from_json(&bad.to_json()).unwrap_err();
+            assert!(err.contains(needle), "want {needle:?}, got {err:?}");
+            let err = CorpusSnapshot::merge(vec![bad]).unwrap_err();
+            assert!(err.contains(needle), "merge: want {needle:?}, got {err:?}");
+        }
+    }
+
+    #[test]
+    fn merge_rejects_an_overflowing_iteration_total() {
+        // Two campaigns, each valid alone, whose iterations sum past
+        // `usize::MAX`.
+        let half = |seed| {
+            let mut s = CorpusSnapshot::from_outputs(&small_config(0, seed), &[], &[]);
+            s.batch_len = 1 << 63;
+            s.iterations = 1 << 63;
+            s.batches.push(SnapshotBatch {
+                batch: 0,
+                start: 0,
+                iterations: 1 << 63,
+                corpus: Vec::new(),
+                coverage: Vec::new(),
+                findings: Vec::new(),
+            });
+            assert!(s.validate().is_ok());
+            s
+        };
+        let err = CorpusSnapshot::merge(vec![half(1), half(2)]).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
     }
 }

@@ -1033,10 +1033,10 @@ impl CampaignWorker {
     /// Returns `false` once the batch's iteration budget is exhausted
     /// (without running anything).
     ///
-    /// `scratch` is the reusable per-exec arena (kernel memory pool,
-    /// KASAN shadow, trace buffers); recycling it is observationally
-    /// identical to fresh allocation, which
-    /// `recycled_kernel_is_bit_identical_to_fresh` pins down.
+    /// `scratch` is the reusable per-exec arena (the booted kernel
+    /// template, the recycled kernel restored from it, the trace
+    /// buffer); a restored kernel is bit-identical to a fresh boot,
+    /// which `recycled_kernel_is_bit_identical_to_fresh` pins down.
     ///
     /// A finding whose signature is fresh to this batch is recorded
     /// untriaged; [`merge_batches`] triages the record that survives

@@ -42,10 +42,12 @@ fn payload_text(payload: &(dyn Any + Send)) -> String {
 /// Joins every handle in order and collects the results. If any worker
 /// panicked, returns the *first* panic (by join order) — but only after
 /// all handles have been joined, so no thread outlives the call.
-pub fn join_all<'scope, T>(
-    handles: impl IntoIterator<Item = ScopedJoinHandle<'scope, T>>,
-) -> Result<Vec<T>, WorkerPanic> {
-    let mut out = Vec::new();
+///
+/// The handles come as a `Vec`, so every worker was spawned before the
+/// first join: a lazy iterator would join each worker before spawning
+/// the next, running them one after another.
+pub fn join_all<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Result<Vec<T>, WorkerPanic> {
+    let mut out = Vec::with_capacity(handles.len());
     let mut first: Option<WorkerPanic> = None;
     for (worker, h) in handles.into_iter().enumerate() {
         match h.join() {
@@ -74,21 +76,26 @@ mod tests {
 
     #[test]
     fn collects_results_in_join_order() {
-        let got = std::thread::scope(|s| join_all((0..4).map(|i| s.spawn(move || i * 10))));
+        let got =
+            std::thread::scope(|s| join_all((0..4).map(|i| s.spawn(move || i * 10)).collect()));
         assert_eq!(got.unwrap(), vec![0, 10, 20, 30]);
     }
 
     #[test]
     fn identifies_the_panicking_worker() {
         let err = std::thread::scope(|s| {
-            join_all((0..3).map(|i| {
-                s.spawn(move || {
-                    if i == 1 {
-                        panic!("worker {i} exploded");
-                    }
-                    i
-                })
-            }))
+            join_all(
+                (0..3)
+                    .map(|i| {
+                        s.spawn(move || {
+                            if i == 1 {
+                                panic!("worker {i} exploded");
+                            }
+                            i
+                        })
+                    })
+                    .collect(),
+            )
         })
         .unwrap_err();
         assert_eq!(err.worker, 1);

@@ -382,7 +382,7 @@ mod tests {
                 assert_eq!(lease.batch, 0);
                 panic!("batch {} exploded", lease.batch);
             });
-            join_all([h]).unwrap_err()
+            join_all(vec![h]).unwrap_err()
         });
         assert!(err.message.contains("batch 0 exploded"), "{err}");
         let mut schedule = shared.schedule.lock().expect("the lock was not held");

@@ -2,9 +2,10 @@
 //!
 //! A scenario bundles one generated program with the syscall sequence
 //! around it (load, optional attach, trigger). Executing a scenario
-//! always starts from a **fresh simulated kernel** with a standard
-//! resource set, so outcomes are deterministic and replayable — the
-//! property the oracle's differential triage relies on.
+//! always starts from a simulated kernel with a standard resource set
+//! that is **bit-identical to a fresh boot**, so outcomes are
+//! deterministic and replayable — the property the oracle's
+//! differential triage relies on.
 
 use serde::{Deserialize, Serialize};
 
@@ -208,10 +209,10 @@ impl RunConfig {
 
 /// Executes a scenario on a fresh kernel under `cfg`.
 ///
-/// Every boot recycles `scratch`'s buffers (memory pool, KASAN shadow,
-/// trace steps) instead of allocating fresh ones. Recycling is
-/// invisible: a recycled boot is bit-identical to a fresh one, so any
-/// scratch, new or used, gives the same outcome.
+/// Every boot restores `scratch`'s recycled kernel from its booted
+/// template, and the diff oracle records into `scratch`'s trace buffer.
+/// Recycling is invisible: a recycled boot is bit-identical to a fresh
+/// one, so any scratch, new or used, gives the same outcome.
 pub fn run(scenario: &Scenario, cfg: &RunConfig, scratch: &mut ExecScratch) -> ScenarioOutcome {
     let defects = match cfg.sanitation {
         Sanitation::Dual(defects) => defects,
@@ -269,8 +270,8 @@ pub fn run(scenario: &Scenario, cfg: &RunConfig, scratch: &mut ExecScratch) -> S
     }
 }
 
-/// Boots a fuzzing-sized kernel (smaller pool for iteration speed) on
-/// `scratch`'s recycled buffers, with the standard maps and the
+/// Boots a fuzzing-sized kernel (smaller pool for iteration speed) with
+/// the standard maps from `scratch`'s template, then applies the
 /// scenario's map seeding.
 fn boot(
     scenario: &Scenario,
@@ -279,7 +280,7 @@ fn boot(
     sanitize: bool,
     scratch: &mut ExecScratch,
 ) -> Bpf {
-    let mut kernel = scratch.boot_kernel(cfg.bugs.clone(), FUZZ_POOL_SIZE);
+    let mut kernel = scratch.boot(cfg.bugs.clone(), FUZZ_POOL_SIZE, &standard_maps());
     kernel.mm.san_defects = defects;
     let opts = VerifierOpts {
         version: cfg.version,
@@ -288,9 +289,6 @@ fn boot(
         ..Default::default()
     };
     let mut bpf = Bpf::with_kernel(kernel, opts, sanitize);
-    for def in standard_maps() {
-        bpf.map_create(def).expect("standard maps fit");
-    }
     for (fd, key, value) in &scenario.map_seed {
         let _ = bpf.map_update(*fd, key, value);
     }
@@ -327,7 +325,7 @@ impl Exec {
 }
 
 /// Runs the scenario's trigger against the loaded program, then hands
-/// the kernel's buffers back to `scratch`. With `snapshots` (the diff
+/// the kernel back to `scratch`. With `snapshots` (the diff
 /// oracle) a test run is traced into `scratch`'s trace buffer and
 /// checked against them.
 fn execute(
@@ -484,6 +482,54 @@ mod tests {
                 ..
             }]
         ));
+    }
+
+    #[test]
+    fn one_scratch_in_sequence_matches_a_new_scratch_per_run() {
+        // Each boot restores the kernel the previous scenario dirtied;
+        // that must be invisible in every outcome field the oracles read.
+        use crate::{GenConfig, StructuredGen};
+        use rand::SeedableRng;
+        let gen = StructuredGen::new(GenConfig::default());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let scenarios: Vec<Scenario> = (0..200).map(|_| gen.generate(&mut rng)).collect();
+        let fields = |o: &ScenarioOutcome| {
+            (
+                o.load.clone(),
+                o.cov.clone(),
+                o.reports.clone(),
+                o.halt,
+                o.exec_hash,
+                o.san,
+            )
+        };
+        let mut ran = std::collections::BTreeSet::new();
+        for sanitation in [Sanitation::On, Sanitation::Dual(SanDefectSet::none())] {
+            let cfg = RunConfig {
+                sanitation,
+                ..RunConfig::new(BugSet::all())
+            };
+            let mut scratch = ExecScratch::new();
+            for (i, s) in scenarios.iter().enumerate() {
+                let recycled = run(s, &cfg, &mut scratch);
+                let fresh = run(s, &cfg, &mut ExecScratch::new());
+                assert!(
+                    fields(&recycled) == fields(&fresh),
+                    "{sanitation:?}, scenario {i}: {s:?}"
+                );
+                if recycled.accepted() && !recycled.attach_rejected {
+                    ran.insert(match s.trigger {
+                        Trigger::TestRun => "test run",
+                        Trigger::Tracepoint(_) => "tracepoint",
+                        Trigger::XdpReceive => "xdp",
+                        Trigger::GetXlated => "xlated",
+                    });
+                }
+            }
+        }
+        for trigger in ["test run", "tracepoint", "xdp"] {
+            assert!(ran.contains(trigger), "no {trigger} scenario ran: {ran:?}");
+        }
     }
 
     #[test]

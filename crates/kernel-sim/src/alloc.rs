@@ -83,20 +83,27 @@ impl Mm {
         }
     }
 
-    /// Resets to exactly the state of [`Mm::new`] with the given pool
-    /// size, reusing the pool and shadow buffers' capacity. Every piece of
-    /// allocator bookkeeping is rebuilt, so a recycled `Mm` is
-    /// indistinguishable from a fresh one — the property the campaign's
-    /// scratch-reuse path depends on for determinism.
-    pub fn reset(&mut self, pool_size: usize) {
-        self.pool.reset(pool_size);
-        let len = self.pool.len();
-        self.shadow.reset(len);
-        self.live.clear();
-        self.free.clear();
-        self.free.push((0, len));
-        self.quarantine.clear();
-        self.san_defects = SanDefectSet::none();
+    /// Makes this memory manager indistinguishable from a clone of
+    /// `template`, one of the same pool size: the pool and shadow copy
+    /// back only the pages written since the last restore, and the
+    /// allocator bookkeeping is cloned. Exact as long as the two differ
+    /// only in pages `self` wrote since it was created equal to
+    /// `template` or last restored from it.
+    pub fn restore_from(&mut self, template: &Mm) {
+        let Mm {
+            pool,
+            shadow,
+            live,
+            free,
+            quarantine,
+            san_defects,
+        } = self;
+        pool.restore_from(&template.pool);
+        shadow.restore_from(&template.shadow);
+        live.clone_from(&template.live);
+        free.clone_from(&template.free);
+        quarantine.clone_from(&template.quarantine);
+        san_defects.clone_from(&template.san_defects);
     }
 
     fn carve(&mut self, chunk_len: usize) -> Option<(usize, usize)> {

@@ -8,7 +8,7 @@
 //! memory; so do all simulated kernel routines (which are "compiled with
 //! KASAN").
 
-use crate::mem::{MemPool, Translation, KERNEL_BASE};
+use crate::mem::{DirtyPages, MemPool, Translation, KERNEL_BASE, PAGE_SIZE};
 use crate::report::KasanKind;
 
 /// Granule size covered by one shadow byte.
@@ -27,6 +27,9 @@ pub const POISON_STACK_GUARD: i8 = -4;
 #[derive(Debug, Clone)]
 pub struct Shadow {
     bytes: Vec<i8>,
+    /// Pool pages whose shadow was written since the last
+    /// [`Shadow::restore_from`].
+    dirty: DirtyPages,
 }
 
 /// A diagnosed invalid access: classification plus first bad address.
@@ -44,15 +47,16 @@ impl Shadow {
     pub fn new(pool_size: usize) -> Shadow {
         Shadow {
             bytes: vec![POISON_UNALLOCATED; pool_size.div_ceil(GRANULE)],
+            dirty: DirtyPages::new(pool_size),
         }
     }
 
-    /// Resets the shadow to exactly the state of [`Shadow::new`] for a
-    /// pool of `pool_size` bytes, reusing the buffer's capacity.
-    pub fn reset(&mut self, pool_size: usize) {
-        self.bytes.clear();
-        self.bytes
-            .resize(pool_size.div_ceil(GRANULE), POISON_UNALLOCATED);
+    /// Makes the shadow equal to `template`, the shadow of a pool of the
+    /// same size, by copying back only the pages written since the last
+    /// restore, as [`MemPool::restore_from`] does for the pool.
+    pub fn restore_from(&mut self, template: &Shadow) {
+        self.dirty
+            .restore(&mut self.bytes, &template.bytes, PAGE_SIZE / GRANULE);
     }
 
     /// Marks `[off, off+len)` addressable.
@@ -61,6 +65,7 @@ impl Shadow {
     /// with its valid prefix length, as in real KASAN.
     pub fn unpoison(&mut self, off: usize, len: usize) {
         debug_assert_eq!(off % GRANULE, 0);
+        self.dirty.mark(off, len);
         let mut g = off / GRANULE;
         let mut remaining = len;
         while remaining >= GRANULE {
@@ -77,6 +82,7 @@ impl Shadow {
     pub fn poison(&mut self, off: usize, len: usize, tag: i8) {
         debug_assert!(tag < 0);
         debug_assert_eq!(off % GRANULE, 0);
+        self.dirty.mark(off, len);
         for g in off / GRANULE..(off + len).div_ceil(GRANULE) {
             self.bytes[g] = tag;
         }
@@ -210,6 +216,62 @@ mod tests {
             shadow.check(&pool, 0x4242, 8).unwrap_err().kind,
             KasanKind::WildAccess
         );
+    }
+
+    type Writer = fn(&mut Shadow, usize);
+
+    /// Both shadow writers, each covering 16 pool bytes at `off`.
+    const WRITERS: [(&str, Writer); 2] = [
+        ("unpoison", |s, off| s.unpoison(off, 16)),
+        ("poison", |s, off| s.poison(off, 16, POISON_FREED)),
+    ];
+
+    fn marked(shadow: &Shadow) -> Vec<usize> {
+        (0..(shadow.bytes.len() * GRANULE).div_ceil(PAGE_SIZE))
+            .filter(|&p| shadow.dirty.has(p))
+            .collect()
+    }
+
+    #[test]
+    fn each_writer_marks_the_pages_it_writes() {
+        for (name, write) in WRITERS {
+            let mut shadow = Shadow::new(4 * PAGE_SIZE);
+            write(&mut shadow, 2 * PAGE_SIZE + 16);
+            assert_eq!(marked(&shadow), [2], "{name} inside page 2");
+            let mut shadow = Shadow::new(4 * PAGE_SIZE);
+            write(&mut shadow, 3 * PAGE_SIZE - 8);
+            assert_eq!(marked(&shadow), [2, 3], "{name} straddling pages 2 and 3");
+        }
+        let mut shadow = Shadow::new(4 * PAGE_SIZE);
+        shadow.unpoison(PAGE_SIZE, 0);
+        shadow.poison(PAGE_SIZE, 0, POISON_FREED);
+        assert!(marked(&shadow).is_empty(), "an empty range marks nothing");
+    }
+
+    #[test]
+    fn restore_undoes_every_writer() {
+        // A partial last page.
+        let len = 4 * PAGE_SIZE + 16;
+        let mut template = Shadow::new(len);
+        template.poison(0, len, POISON_REDZONE);
+        for (name, write) in WRITERS {
+            let mut shadow = template.clone();
+            shadow.restore_from(&template);
+            assert!(
+                marked(&shadow).is_empty(),
+                "{name}: restore clears the marks"
+            );
+            for off in [16, 3 * PAGE_SIZE - 8, len - 16] {
+                write(&mut shadow, off);
+            }
+            assert_ne!(shadow.bytes, template.bytes);
+            shadow.restore_from(&template);
+            assert_eq!(shadow.bytes, template.bytes, "{name}");
+            assert!(
+                marked(&shadow).is_empty(),
+                "{name}: restore clears the marks"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::report::{KernelReport, ReportOrigin, ReportSink};
 use crate::tracepoint::Tracepoint;
 
 /// The simulated kernel.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Kernel {
     /// Memory manager (pool, shadow, allocator).
     pub mm: Mm,
@@ -59,16 +59,11 @@ impl Kernel {
         Kernel::with_pool_size(bugs, DEFAULT_POOL_SIZE)
     }
 
-    /// Boots with an explicit memory pool size.
+    /// Boots with an explicit memory pool size: a zeroed pool, the BTF
+    /// table, one boot object per BTF type and the current task. Boot
+    /// stores `bugs` but never reads it.
     pub fn with_pool_size(bugs: BugSet, pool_size: usize) -> Kernel {
-        Kernel::boot(bugs, Mm::new(pool_size))
-    }
-
-    /// Boots over an existing memory manager, which must be in the state
-    /// left by [`Mm::new`] / [`Mm::reset`]. This is the buffer-recycling
-    /// path: callers reuse the pool and shadow allocations of a previous
-    /// boot instead of touching the heap on every simulated kernel.
-    pub fn boot(bugs: BugSet, mut mm: Mm) -> Kernel {
+        let mut mm = Mm::new(pool_size);
         let btf = BtfTable::new();
         let mut btf_objects = HashMap::new();
         // Allocate one boot object per BTF type, except the debug object,
@@ -100,6 +95,46 @@ impl Kernel {
         };
         kernel.init_current_task();
         kernel
+    }
+
+    /// Makes this kernel indistinguishable from `template.clone()`: memory
+    /// through [`Mm::restore_from`], every other field cloned. Exact as
+    /// long as `self` was booted like `template` (the same pool size,
+    /// the same maps created after boot), cloned from it or last
+    /// restored from it: the contract of a recycled boot. The
+    /// destructuring names every field, so a new one does not compile
+    /// until it is restored here.
+    pub fn restore_from(&mut self, template: &Kernel) {
+        let Kernel {
+            mm,
+            lockdep,
+            reports,
+            bugs,
+            maps,
+            // Built by boot and never written after it.
+            btf: _,
+            dispatcher,
+            // Allocated by boot and never written after it.
+            btf_objects: _,
+            tracepoint_consumers,
+            time_ns,
+            prandom_state,
+            routine_depth,
+            nmi_depth,
+            irq_work_pending,
+        } = self;
+        mm.restore_from(&template.mm);
+        lockdep.clone_from(&template.lockdep);
+        reports.clone_from(&template.reports);
+        bugs.clone_from(&template.bugs);
+        maps.clone_from(&template.maps);
+        dispatcher.clone_from(&template.dispatcher);
+        tracepoint_consumers.clone_from(&template.tracepoint_consumers);
+        *time_ns = template.time_ns;
+        *prandom_state = template.prandom_state;
+        *routine_depth = template.routine_depth;
+        *nmi_depth = template.nmi_depth;
+        *irq_work_pending = template.irq_work_pending;
     }
 
     fn init_current_task(&mut self) {

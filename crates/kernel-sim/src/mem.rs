@@ -12,6 +12,12 @@
 //! - **Checked access** goes through the KASAN shadow (see
 //!   [`crate::kasan`]) and is what compiled-with-KASAN kernel routines —
 //!   including BVF's `bpf_asan_*` sanitizing functions — do.
+//!
+//! The pool's bytes are private, so its methods are the only writers.
+//! Each marks the [`PAGE_SIZE`] pages it writes, and
+//! [`MemPool::restore_from`] copies back only those pages from a booted
+//! template: that is how a recycled kernel becomes bit-identical to a
+//! fresh boot without touching the rest of the pool.
 
 /// Base virtual address of the simulated kernel linear map.
 pub const KERNEL_BASE: u64 = 0xffff_8880_0000_0000;
@@ -22,6 +28,9 @@ pub const NULL_PAGE_SIZE: u64 = 0x1000;
 
 /// Default pool size (1 MiB).
 pub const DEFAULT_POOL_SIZE: usize = 1 << 20;
+
+/// Size of a pool page, the unit of dirty tracking and restore.
+pub const PAGE_SIZE: usize = 4096;
 
 /// Result of translating a virtual address against the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,10 +43,65 @@ pub enum Translation {
     Unmapped,
 }
 
+/// One bit per [`PAGE_SIZE`] page of a pool: the pages written since
+/// the last restore. [`MemPool`] and the KASAN shadow each keep one.
+#[derive(Debug, Clone)]
+pub(crate) struct DirtyPages {
+    words: Vec<u64>,
+}
+
+impl DirtyPages {
+    /// A clean set for a pool of `pool_len` bytes.
+    pub(crate) fn new(pool_len: usize) -> DirtyPages {
+        DirtyPages {
+            words: vec![0; pool_len.div_ceil(PAGE_SIZE).div_ceil(64)],
+        }
+    }
+
+    /// Marks every page that pool bytes `[off, off + len)` touch.
+    #[inline]
+    pub(crate) fn mark(&mut self, off: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        for page in off / PAGE_SIZE..=(off + len - 1) / PAGE_SIZE {
+            self.words[page / 64] |= 1 << (page % 64);
+        }
+    }
+
+    /// Copies every marked page from `src` into `dst`, two buffers of
+    /// the same length holding `page_len` elements per pool page, and
+    /// clears the marks.
+    pub(crate) fn restore<T: Copy>(&mut self, dst: &mut [T], src: &[T], page_len: usize) {
+        assert_eq!(
+            dst.len(),
+            src.len(),
+            "restore from a template of another size"
+        );
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let start = (i * 64 + bits.trailing_zeros() as usize) * page_len;
+                let end = (start + page_len).min(src.len());
+                dst[start..end].copy_from_slice(&src[start..end]);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Whether `page` is marked.
+    #[cfg(test)]
+    pub(crate) fn has(&self, page: usize) -> bool {
+        self.words[page / 64] & (1 << (page % 64)) != 0
+    }
+}
+
 /// The simulated physical memory pool.
 #[derive(Debug, Clone)]
 pub struct MemPool {
     bytes: Vec<u8>,
+    /// Pages written since the last [`MemPool::restore_from`].
+    dirty: DirtyPages,
 }
 
 impl MemPool {
@@ -46,17 +110,18 @@ impl MemPool {
         let size = size.next_multiple_of(8);
         MemPool {
             bytes: vec![0; size],
+            dirty: DirtyPages::new(size),
         }
     }
 
-    /// Resets the pool to exactly the state of [`MemPool::new`] with the
-    /// given size, reusing the byte buffer's capacity. This is the per-exec
-    /// scratch-recycling path: the result must be indistinguishable from a
-    /// fresh pool.
-    pub fn reset(&mut self, size: usize) {
-        let size = size.next_multiple_of(8);
-        self.bytes.clear();
-        self.bytes.resize(size, 0);
+    /// Makes the pool equal to `template`, a pool of the same size, byte
+    /// for byte, by copying back only the pages written since the last
+    /// restore. Exact as long as the two differ only in pages this pool
+    /// wrote since it was created equal to `template` or last restored
+    /// from it.
+    pub fn restore_from(&mut self, template: &MemPool) {
+        self.dirty
+            .restore(&mut self.bytes, &template.bytes, PAGE_SIZE);
     }
 
     /// Pool size in bytes.
@@ -142,6 +207,7 @@ impl MemPool {
     /// Writes little-endian at a pool offset; `size` ∈ {1,2,4,8}.
     #[inline]
     pub fn write_at(&mut self, off: usize, size: u64, value: u64) {
+        self.dirty.mark(off, size as usize);
         if size == 8 {
             self.bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
             return;
@@ -158,11 +224,13 @@ impl MemPool {
 
     /// Copies bytes into the pool.
     pub fn write_bytes(&mut self, off: usize, data: &[u8]) {
+        self.dirty.mark(off, data.len());
         self.bytes[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Zero-fills a pool range.
     pub fn zero(&mut self, off: usize, len: usize) {
+        self.dirty.mark(off, len);
         self.bytes[off..off + len].fill(0);
     }
 }
@@ -206,6 +274,60 @@ mod tests {
         assert_eq!(pool.raw_read(0x10, 8), None);
         assert!(!pool.raw_write(0x10, 8, 1));
         assert_eq!(pool.raw_read(KERNEL_BASE + 4096, 1), None);
+    }
+
+    type Writer = fn(&mut MemPool, usize);
+
+    /// Every pool writer, each writing 8 bytes at pool offset `off`.
+    const WRITERS: [(&str, Writer); 4] = [
+        ("raw_write", |p, off| {
+            assert!(p.raw_write(KERNEL_BASE + off as u64, 8, u64::MAX))
+        }),
+        ("write_at", |p, off| p.write_at(off, 8, u64::MAX)),
+        ("write_bytes", |p, off| p.write_bytes(off, &[0xff; 8])),
+        ("zero", |p, off| p.zero(off, 8)),
+    ];
+
+    fn marked(pool: &MemPool) -> Vec<usize> {
+        (0..pool.len().div_ceil(PAGE_SIZE))
+            .filter(|&p| pool.dirty.has(p))
+            .collect()
+    }
+
+    #[test]
+    fn each_writer_marks_the_pages_it_writes() {
+        for (name, write) in WRITERS {
+            let mut pool = MemPool::new(4 * PAGE_SIZE);
+            write(&mut pool, 2 * PAGE_SIZE + 16);
+            assert_eq!(marked(&pool), [2], "{name} inside page 2");
+            let mut pool = MemPool::new(4 * PAGE_SIZE);
+            write(&mut pool, 3 * PAGE_SIZE - 4);
+            assert_eq!(marked(&pool), [2, 3], "{name} straddling pages 2 and 3");
+        }
+        let mut pool = MemPool::new(4 * PAGE_SIZE);
+        pool.write_bytes(PAGE_SIZE, &[]);
+        assert!(marked(&pool).is_empty(), "an empty write marks nothing");
+    }
+
+    #[test]
+    fn restore_undoes_every_writer() {
+        // A partial last page, and no zero byte for `zero` to hide behind.
+        let len = 4 * PAGE_SIZE + 8;
+        let mut template = MemPool::new(len);
+        let pattern: Vec<u8> = (0..len).map(|i| (i % 251) as u8 + 1).collect();
+        template.write_bytes(0, &pattern);
+        for (name, write) in WRITERS {
+            let mut pool = template.clone();
+            pool.restore_from(&template);
+            assert!(marked(&pool).is_empty(), "{name}: restore clears the marks");
+            for off in [16, 3 * PAGE_SIZE - 4, len - 8] {
+                write(&mut pool, off);
+            }
+            assert_ne!(pool.read_bytes(0, len), template.read_bytes(0, len));
+            pool.restore_from(&template);
+            assert_eq!(pool.read_bytes(0, len), &pattern[..], "{name}");
+            assert!(marked(&pool).is_empty(), "{name}: restore clears the marks");
+        }
     }
 
     #[test]

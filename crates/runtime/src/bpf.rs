@@ -139,8 +139,8 @@ impl Bpf {
         Bpf::with_kernel(Kernel::new(bugs), opts, sanitize)
     }
 
-    /// Wraps an already-booted kernel (explicit pool size, or a boot over
-    /// recycled buffers from [`crate::ExecScratch`]).
+    /// Wraps an already-booted kernel (explicit pool size, or a kernel
+    /// restored from [`crate::ExecScratch`]'s template).
     pub fn with_kernel(kernel: Kernel, opts: VerifierOpts, sanitize: bool) -> Bpf {
         Bpf {
             kernel,
@@ -155,12 +155,6 @@ impl Bpf {
     /// Returns `self`; the benchmark is its only caller, so it goes once ROADMAP item 2 lands.
     pub fn with_backend(self, _backend: Backend) -> Bpf {
         self
-    }
-
-    /// Tears the instance down, surrendering the kernel's memory manager
-    /// so its buffers can be recycled by [`crate::ExecScratch`].
-    pub fn into_mm(self) -> bvf_kernel_sim::alloc::Mm {
-        self.kernel.mm
     }
 
     /// `BPF_MAP_CREATE`.
