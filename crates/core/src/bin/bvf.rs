@@ -81,7 +81,7 @@
 //! worker count.
 //!
 //! `bvf serve` starts the distributed campaign-fabric coordinator
-//! (`bvf-fabric`): workers attach with `bvf worker --connect`, clients
+//! (`bvf::fabric`): workers attach with `bvf worker --connect`, clients
 //! submit campaigns with `fuzz --remote ADDR` using the same campaign
 //! flags as a local run. Batch leases and corpus-exchange deltas travel
 //! the wire, the coordinator merges (and triages) the completed
@@ -113,13 +113,15 @@ use std::time::Duration;
 use bvf::baseline::GeneratorKind;
 use bvf::cli::{bare, levenshtein, val, Args, Command, Flag};
 use bvf::corpus::CorpusSnapshot;
+use bvf::fabric::{
+    run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions,
+};
 use bvf::fuzz::{report_signature, CampaignConfig, FindingRecord};
 use bvf::minimize::minimize;
 use bvf::oracle::{judge, triage, triage_san_defects};
 use bvf::runner::{run_local, ParallelConfig};
 use bvf::sanmatrix::run_matrix;
 use bvf::scenario::{run, RunConfig, Sanitation, Scenario};
-use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
 use bvf_runtime::ExecScratch;
 use bvf_telemetry::{JsonlSink, NullSink, Telemetry, TraceEvent, TraceSink};
@@ -142,7 +144,7 @@ const USAGE: &str = "usage:\n  \
          bvf replay <scenario.json> [--bugs SPEC] [--version V] [--no-sanitize] [--diff-oracle]\n             \
          [--san-diff] [--san-defect LIST]\n  \
          bvf minimize <scenario.json> [--bugs SPEC] [--version V] [--no-sanitize]\n             \
-         [--diff-oracle] [--san-diff] [--san-defect LIST] [--jobs N] [--out FILE]\n  \
+         [--diff-oracle] [--san-diff] [--san-defect LIST] [--out FILE]\n  \
          bvf sancheck [--matrix] [--version V] [--json-out FILE]\n  \
          bvf disasm <scenario.json|program.bin>\n  \
          bvf bugs";
@@ -235,7 +237,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "bvf minimize",
         positional: (1, 1),
-        flags: &[RUN_FLAGS, &[val("--jobs")], OUT_FLAG],
+        flags: &[RUN_FLAGS, OUT_FLAG],
     },
     Command {
         name: "bvf sancheck",
@@ -439,6 +441,10 @@ fn campaign_config(args: &Args) -> CampaignConfig {
     }
     if let Some(n) = args.parsed("--exchange-batch") {
         cfg.exchange_batch = n;
+    }
+    if let Err(e) = cfg.validate() {
+        eprintln!("{e}");
+        exit(2);
     }
     if let Some(path) = args.opt("--corpus-in") {
         cfg.base = load_snapshot(path).to_base();
@@ -906,9 +912,8 @@ fn cmd_replay(args: &Args, path: &str) {
 fn cmd_minimize(args: &Args, path: &str) {
     let scenario = load_scenario(path);
     let cfg = run_config(args);
-    let jobs: usize = args.parsed("--jobs").unwrap_or(1);
 
-    let out = match minimize(&scenario, &cfg, jobs) {
+    let out = match minimize(&scenario, &cfg) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("cannot minimize: {e}");

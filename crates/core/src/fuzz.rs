@@ -30,7 +30,8 @@
 //! Every runner leases, completes and requeues batches through one
 //! [`Schedule`]: the local runner ([`run_local`], one lease loop on the
 //! caller's thread or on N threads, behind [`run_campaign`] and
-//! [`run_campaign_with_telemetry`]) and the `bvf-fabric` coordinator.
+//! [`run_campaign_with_telemetry`]) and the [`fabric`](crate::fabric)
+//! coordinator.
 //! The schedule owns the [`CorpusLedger`] and the running [`Totals`]
 //! that progress lines and fabric status print; the runners differ only
 //! in who executes a leased batch. `--workers 1` bit-identity with any
@@ -68,8 +69,13 @@ use crate::scenario::{run, RunConfig, Sanitation, Scenario};
 /// Global cap on feedback-corpus retention (seed view + local additions).
 pub const CORPUS_CAP: usize = 4096;
 
+/// Most lease batches one campaign may have. A [`Schedule`] holds about
+/// 530 B per batch before any batch runs (an output slot, a ledger slot
+/// and a pending entry), so this caps that state near 2.2 GB.
+pub const MAX_BATCHES: usize = 1 << 22;
+
 /// Campaign configuration. Serializable so a remote campaign submission
-/// (`bvf fuzz --remote`, the `bvf-fabric` wire protocol) ships the
+/// (`bvf fuzz --remote`, the [`fabric`](crate::fabric) wire protocol) ships the
 /// *complete* generation-determining state: merged results are a pure
 /// function of this struct, never of who executes the batches.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -170,6 +176,23 @@ impl CampaignConfig {
             san_defects: SanDefectSet::none(),
             backend: Default::default(),
         }
+    }
+
+    /// Checks that the campaign's [`Schedule`] fits in memory: at most
+    /// [`MAX_BATCHES`] lease batches. A schedule allocates per-batch
+    /// state up front, so a larger campaign would abort or panic before
+    /// its first iteration.
+    pub fn validate(&self) -> Result<(), String> {
+        let batches = batch_count(self);
+        if batches > MAX_BATCHES {
+            return Err(format!(
+                "{} iterations make {batches} lease batches of {}, more than the \
+                 {MAX_BATCHES} a campaign may have; raise --batch-len",
+                self.iterations,
+                self.batch_len.max(1)
+            ));
+        }
+        Ok(())
     }
 
     /// The per-scenario [`RunConfig`] this campaign executes and triages
@@ -710,7 +733,7 @@ impl Progress {
 }
 
 /// One campaign's lease scheduler, and the only one: the local runner
-/// ([`run_local`]) and the `bvf-fabric` coordinator both lease, complete
+/// ([`run_local`]) and the [`fabric`](crate::fabric) coordinator both lease, complete
 /// and requeue batches through it. It owns the campaign's
 /// [`CorpusLedger`], its pending batches, the completed outputs and the
 /// running [`Totals`].
@@ -1510,6 +1533,21 @@ mod tests {
                 assert_eq!(covered, total);
             }
         }
+    }
+
+    #[test]
+    fn validate_bounds_the_batch_count() {
+        let at = |iterations, batch_len| CampaignConfig {
+            batch_len,
+            ..CampaignConfig::new(GeneratorKind::Bvf, iterations, 1)
+        };
+        assert_eq!(at(MAX_BATCHES * 64, 64).validate(), Ok(()));
+        assert_eq!(at(usize::MAX, usize::MAX).validate(), Ok(()));
+        let err = at(MAX_BATCHES * 64 + 1, 64).validate().unwrap_err();
+        assert!(err.contains("4194305 lease batches of 64"), "{err}");
+        assert!(err.contains("raise --batch-len"), "{err}");
+        assert!(at(usize::MAX, 64).validate().is_err());
+        assert!(at(MAX_BATCHES + 1, 0).validate().is_err());
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   feedback and corpus mutation;
 //! - [`runner`] — the local campaign runner: one lease loop on the
 //!   caller's thread or on N worker threads;
+//! - [`fabric`] — the distributed campaign fabric: a coordinator that
+//!   leases the same batches to remote workers over TCP;
 //! - [`baseline`] — Syzkaller-like and Buzzer-like generators for the
 //!   §6.3 comparison.
 //!
@@ -38,6 +40,7 @@
 pub mod baseline;
 pub mod cli;
 pub mod corpus;
+pub mod fabric;
 pub mod fuzz;
 pub mod gen;
 pub mod join;

@@ -21,10 +21,6 @@
 //! instructions emitted by the sanitation rewrite, and trace steps
 //! past the trace cap are all skipped rather than judged. The oracle
 //! therefore never reports a false divergence due to its own limits.
-//!
-//! The crate also hosts the generic `ddmin` delta-debugging loop used
-//! by `bvf minimize` to shrink a finding's framed body while
-//! preserving its dedup signature.
 
 #![warn(missing_docs)]
 
@@ -227,109 +223,6 @@ pub fn check(
     (stats, None)
 }
 
-/// Classic `ddmin` delta debugging: returns a (1-)minimal subsequence
-/// of `items` for which `test` still returns `true`.
-///
-/// `test` must hold for the full input; the result is locally minimal —
-/// removing any single remaining element makes `test` fail. The search
-/// is deterministic: chunks are tried left to right at doubling
-/// granularity, exactly as in Zeller & Hildebrandt's formulation.
-pub fn ddmin<T: Clone>(items: &[T], mut test: impl FnMut(&[T]) -> bool) -> Vec<T> {
-    let mut current: Vec<T> = items.to_vec();
-    if current.len() <= 1 {
-        return current;
-    }
-    let mut n = 2usize;
-    while current.len() >= 2 {
-        let chunk = current.len().div_ceil(n);
-        let mut reduced = false;
-
-        // Try each complement (input minus one chunk).
-        let mut start = 0usize;
-        while start < current.len() {
-            let end = (start + chunk).min(current.len());
-            let mut candidate: Vec<T> = Vec::with_capacity(current.len() - (end - start));
-            candidate.extend_from_slice(&current[..start]);
-            candidate.extend_from_slice(&current[end..]);
-            if !candidate.is_empty() && test(&candidate) {
-                current = candidate;
-                n = (n - 1).max(2);
-                reduced = true;
-                break;
-            }
-            start = end;
-        }
-
-        if !reduced {
-            if n >= current.len() {
-                break;
-            }
-            n = (n * 2).min(current.len());
-        }
-    }
-    current
-}
-
-/// Like [`ddmin`], but hands each granularity round's complement
-/// candidates to `eval` as one batch, which returns one verdict per
-/// candidate (in order).
-///
-/// Taking the **first** passing candidate of each round makes the
-/// reduction sequence — and therefore the result — identical to the
-/// serial [`ddmin`], whatever evaluation strategy `eval` uses: a lazy
-/// evaluator that stops at the first `true` replays exactly what the
-/// serial loop would, and a parallel evaluator that tests the whole
-/// round concurrently trades extra replays for wall time without
-/// changing the outcome.
-pub fn ddmin_batched<T: Clone>(
-    items: &[T],
-    mut eval: impl FnMut(&[Vec<T>]) -> Vec<bool>,
-) -> Vec<T> {
-    let mut current: Vec<T> = items.to_vec();
-    if current.len() <= 1 {
-        return current;
-    }
-    let mut n = 2usize;
-    while current.len() >= 2 {
-        let chunk = current.len().div_ceil(n);
-
-        // Every non-empty complement (input minus one chunk), left to
-        // right — the same candidate order the serial loop tries.
-        let mut candidates: Vec<Vec<T>> = Vec::new();
-        let mut start = 0usize;
-        while start < current.len() {
-            let end = (start + chunk).min(current.len());
-            let mut candidate: Vec<T> = Vec::with_capacity(current.len() - (end - start));
-            candidate.extend_from_slice(&current[..start]);
-            candidate.extend_from_slice(&current[end..]);
-            if !candidate.is_empty() {
-                candidates.push(candidate);
-            }
-            start = end;
-        }
-
-        let verdicts = eval(&candidates);
-        assert_eq!(
-            verdicts.len(),
-            candidates.len(),
-            "eval must return one verdict per candidate"
-        );
-        match verdicts.iter().position(|&ok| ok) {
-            Some(i) => {
-                current = candidates.swap_remove(i);
-                n = (n - 1).max(2);
-            }
-            None => {
-                if n >= current.len() {
-                    break;
-                }
-                n = (n * 2).min(current.len());
-            }
-        }
-    }
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,47 +370,5 @@ mod tests {
         assert_eq!(b.steps_total, 6);
         assert_eq!(b.regs_checked, 44);
         assert_eq!(b.divergences, 2);
-    }
-
-    #[test]
-    fn ddmin_finds_minimal_pair() {
-        let items: Vec<u32> = (0..32).collect();
-        let min = ddmin(&items, |s| s.contains(&3) && s.contains(&27));
-        assert_eq!(min, vec![3, 27]);
-    }
-
-    #[test]
-    fn ddmin_single_culprit_and_stability() {
-        let items: Vec<u32> = (0..17).collect();
-        let min = ddmin(&items, |s| s.contains(&11));
-        assert_eq!(min, vec![11]);
-        // Full-set-dependent predicate: nothing removable.
-        let items: Vec<u32> = (0..4).collect();
-        let min = ddmin(&items, |s| s.len() == 4);
-        assert_eq!(min, items);
-    }
-
-    #[test]
-    fn ddmin_batched_matches_serial() {
-        // Whatever the predicate, batched rounds with first-true
-        // choosing must reduce to exactly what the serial loop does.
-        let preds: Vec<fn(&[u32]) -> bool> = vec![
-            |s| s.contains(&3),
-            |s| s.contains(&3) && s.contains(&11),
-            |s| s.iter().filter(|&&x| x % 3 == 0).count() >= 2,
-            |s| !s.is_empty(),
-            |s| s.len() >= 12,
-        ];
-        for len in [1usize, 2, 5, 13, 32] {
-            let items: Vec<u32> = (0..len as u32).collect();
-            for p in &preds {
-                if !p(&items) {
-                    continue; // ddmin requires the full input to pass
-                }
-                let serial = ddmin(&items, p);
-                let batched = ddmin_batched(&items, |cands| cands.iter().map(|c| p(c)).collect());
-                assert_eq!(serial, batched, "len={len}");
-            }
-        }
     }
 }

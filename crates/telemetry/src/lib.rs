@@ -27,13 +27,11 @@
 
 #![warn(missing_docs)]
 
-pub mod fabric;
 pub mod metrics;
 pub mod profile;
 pub mod stats;
 pub mod trace;
 
-pub use fabric::FabricCounters;
 pub use metrics::{Histogram, Registry};
 pub use profile::{PhaseTimings, PruneCounters};
 pub use stats::{CampaignStats, SancheckStats};
