@@ -43,6 +43,7 @@ impl Client {
     pub fn submit(&mut self, config: CampaignConfig) -> Result<u64, FabricError> {
         match self.conn.rpc(&Request::Submit { config })? {
             Response::Submitted { campaign } => Ok(campaign),
+            Response::Error { reason } => Err(FabricError::Refused(reason)),
             other => Err(FabricError::unexpected("Submitted", &other)),
         }
     }

@@ -45,7 +45,10 @@ use std::io;
 pub enum FabricError {
     /// Transport failure.
     Io(io::Error),
-    /// The coordinator refused the handshake (magic/version mismatch).
+    /// The coordinator refused on purpose: the handshake (magic/version
+    /// mismatch), or a request it answered with
+    /// [`proto::Response::Error`] (a campaign too large to schedule, a
+    /// batch out of range).
     Refused(String),
     /// The peer sent a frame that violates the protocol state machine.
     Protocol(String),
@@ -62,7 +65,7 @@ impl fmt::Display for FabricError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FabricError::Io(e) => write!(f, "fabric transport error: {e}"),
-            FabricError::Refused(reason) => write!(f, "handshake refused: {reason}"),
+            FabricError::Refused(reason) => write!(f, "coordinator refused: {reason}"),
             FabricError::Protocol(reason) => write!(f, "protocol error: {reason}"),
         }
     }

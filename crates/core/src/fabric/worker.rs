@@ -20,18 +20,17 @@ use crate::fabric::proto::{FrameConn, Request, Response, Role, FABRIC_MAGIC, FAB
 use crate::fabric::FabricError;
 use crate::fuzz::{CampaignConfig, CampaignWorker, CorpusLedger};
 
+/// The worker sends a lease-extend heartbeat every this many batch steps.
+/// Independently of the step count, a heartbeat is also sent whenever a
+/// third of the coordinator's lease timeout (learned from the Welcome
+/// frame) has elapsed since the last extend, so slow steps cannot let
+/// the lease expire between step-count heartbeats.
+const HEARTBEAT_STEPS: usize = 64;
+
 /// Worker tuning (and test hooks).
 pub struct WorkerOptions {
     /// Backoff between lease polls when the coordinator has no work.
     pub poll: Duration,
-    /// Send a lease-extend heartbeat every this many batch steps.
-    /// Independently of the step count, a heartbeat is also sent
-    /// whenever a third of the coordinator's lease timeout (learned
-    /// from the Welcome frame) has elapsed since the last extend, so
-    /// slow steps cannot let the lease expire between step-count
-    /// heartbeats. 0 disables mid-batch heartbeats entirely (test
-    /// hook).
-    pub heartbeat_steps: usize,
     /// Stop after completing this many batches (`None` = run until the
     /// stop flag is raised or the connection drops).
     pub max_batches: Option<usize>,
@@ -45,7 +44,6 @@ impl Default for WorkerOptions {
     fn default() -> WorkerOptions {
         WorkerOptions {
             poll: Duration::from_millis(20),
-            heartbeat_steps: 64,
             max_batches: None,
             abandon_after: None,
         }
@@ -156,9 +154,9 @@ pub fn run_worker(
             // Heartbeat on whichever fires first: the step count, or
             // the wall clock. Step count alone would let a run of slow
             // steps (diff oracle, loaded host) outlive the lease.
-            let due = w.done().is_multiple_of(opts.heartbeat_steps.max(1))
+            let due = w.done().is_multiple_of(HEARTBEAT_STEPS)
                 || extended_at.elapsed() >= heartbeat_every;
-            if opts.heartbeat_steps > 0 && due {
+            if due {
                 match conn.rpc(&Request::Extend {
                     campaign: grant.campaign,
                     batch: grant.batch,
@@ -184,6 +182,7 @@ pub fn run_worker(
             output,
         })? {
             Response::Accepted { .. } => report.batches += 1,
+            Response::Error { reason } => return Err(FabricError::Refused(reason)),
             other => return Err(FabricError::unexpected("Accepted", &other)),
         }
     }

@@ -38,8 +38,6 @@ pub struct GenConfig {
     pub max_body_frames: usize,
     /// Kernel version (gates helpers/kfuncs the generator may emit).
     pub version: KernelVersion,
-    /// Whether to generate bpf-to-bpf subprogram calls.
-    pub subprogs: bool,
     /// Bias generation toward memory accesses through map values, BTF
     /// objects, and packets — the instruction mix of the kernel's
     /// verifier self-tests (used by the §6.4 overhead corpus).
@@ -51,7 +49,6 @@ impl Default for GenConfig {
         GenConfig {
             max_body_frames: 6,
             version: KernelVersion::BpfNext,
-            subprogs: true,
             mem_heavy: false,
         }
     }
@@ -229,7 +226,7 @@ impl StructuredGen {
         // emit the function body after the end section.
         let mut subprog_callsites: Vec<usize> = Vec::new();
         for _ in 0..frames {
-            if self.cfg.subprogs && rng.gen_bool(0.08) && subprog_callsites.len() < 2 {
+            if rng.gen_bool(0.08) && subprog_callsites.len() < 2 {
                 // Call frame to the (future) subprogram: pass one scalar.
                 let arg = st.want_scalar(rng);
                 if arg != Reg::R1 {

@@ -20,8 +20,8 @@ use bvf::fabric::proto::{
     Role, FABRIC_MAGIC, FABRIC_VERSION,
 };
 use bvf::fabric::{
-    run_worker, Client, Coordinator, CoordinatorOptions, FabricCounters, RemoteOutcome,
-    WorkerOptions,
+    run_worker, Client, Coordinator, CoordinatorOptions, FabricCounters, FabricError,
+    RemoteOutcome, WorkerOptions,
 };
 use bvf::fuzz::{
     batch_count, merge_batches, run_campaign, BatchOutput, CampaignConfig, CampaignWorker,
@@ -638,7 +638,10 @@ fn campaign_too_large_to_schedule_is_refused_and_the_coordinator_serves_on() {
     let err = client
         .submit(CampaignConfig::new(GeneratorKind::Bvf, usize::MAX, 1))
         .expect_err("a campaign too large to schedule must be refused");
-    assert!(err.to_string().contains("raise --batch-len"), "{err}");
+    assert!(matches!(err, FabricError::Refused(_)), "{err:?}");
+    let msg = err.to_string();
+    assert!(msg.contains("raise --batch-len"), "{msg}");
+    assert!(!msg.contains("expected Submitted"), "{msg}");
 
     let cfg = small_config(200, 1);
     let local_stats = run_campaign(&cfg).to_stats(cfg.seed, Registry::new());

@@ -420,11 +420,6 @@ pub fn helper_protos() -> Vec<FuncProto> {
 }
 
 impl FuncProto {
-    /// Number of declared arguments.
-    pub fn arg_count(&self) -> usize {
-        self.args.iter().filter(|a| a.is_some()).count()
-    }
-
     /// Whether the helper is callable from the given program type.
     pub fn allowed_for(&self, pt: ProgType) -> bool {
         self.allowed_prog_types.is_empty() || self.allowed_prog_types.contains(&pt)

@@ -65,11 +65,6 @@ impl Lockdep {
         self.ctx_depth = self.ctx_depth.saturating_sub(1);
     }
 
-    /// Current context nesting depth.
-    pub fn context_depth(&self) -> usize {
-        self.ctx_depth
-    }
-
     /// Attempts to acquire `lock`.
     ///
     /// On violation returns the diagnosis; the lock is *not* taken (the

@@ -134,11 +134,6 @@ impl MemPool {
         self.bytes.is_empty()
     }
 
-    /// The virtual address of pool offset `off`.
-    pub fn addr_of(&self, off: usize) -> u64 {
-        KERNEL_BASE + off as u64
-    }
-
     /// Translates a virtual address (for an access of `size` bytes).
     #[inline]
     pub fn translate(&self, addr: u64, size: u64) -> Translation {

@@ -284,8 +284,8 @@ pub(crate) fn reg_permissiveness(r: &RegState) -> u64 {
 }
 
 /// A state stored at a prune-point visit, with the fingerprint taken
-/// there. The path-trace node made at the same visit shares it, so the
-/// loop scan and the explored scan read one copy of the state.
+/// there. The loop detector's stack of the path's visits shares it, so
+/// the loop scan and the explored scan read one copy of the state.
 #[derive(Debug, Clone)]
 pub struct ExploredEntry {
     /// The stored state.

@@ -11,6 +11,7 @@ use crate::check::jump::JumpOutcome;
 use crate::cov::{Cat, Coverage};
 use crate::env::{VerifiedProgram, Verifier, VerifierOpts};
 use crate::errors::{RejectReason, VerifierError, VerifierPhase};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::prune::states_equal;
@@ -24,35 +25,11 @@ use std::time::Instant;
 /// Maximum states remembered per prune point.
 const MAX_STATES_PER_POINT: usize = 32;
 
-/// A prune-point state on the current exploration path, used for
-/// infinite-loop detection (the analog of `states_maybe_looping`): if the
-/// path returns to the same instruction in a state subsumed by one of its
-/// own ancestors, the loop can make no progress.
-struct PathNode {
-    pc: usize,
-    /// The state and fingerprint of this visit, shared with the
-    /// explored-index entry created at the same visit.
-    visit: Rc<ExploredEntry>,
-    parent: Option<Rc<PathNode>>,
-}
-
-// Long exploration paths build long parent chains; drop them iteratively
-// so deep programs cannot overflow the host stack.
-impl Drop for PathNode {
-    fn drop(&mut self) {
-        let mut next = self.parent.take();
-        while let Some(rc) = next {
-            match Rc::try_unwrap(rc) {
-                Ok(mut node) => next = node.parent.take(),
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// How many ancestors the loop detector walks per prune point; an
-/// abstract loop revisits its head frequently, so a bounded window
-/// suffices and keeps pathological paths linear.
+/// How many of the path's earlier visits the loop detector walks per
+/// prune point; an abstract loop revisits its head frequently, so a
+/// bounded window suffices and keeps pathological paths linear. It also
+/// bounds the path's memory: a visit more than one window below every
+/// place a later scan can start from is forgotten.
 const LOOP_SCAN_WINDOW: usize = 256;
 
 /// How many same-pc ancestors the loop detector actually *considers*
@@ -318,10 +295,21 @@ impl<'a> Verifier<'a> {
     }
 
     fn do_check(&mut self) -> Result<(), VerifierError> {
-        let mut worklist: Vec<(VerifierState, usize, Option<Rc<PathNode>>)> =
-            vec![(VerifierState::entry(), 0, None)];
+        // The current path's prune-point visits, oldest first, for
+        // infinite-loop detection (the analog of `states_maybe_looping`):
+        // a path that returns to an instruction in a state subsumed by
+        // one of its own earlier visits can make no progress. `path[i]`
+        // is visit `base + i`. The walk is depth-first, so one stack
+        // serves every pending branch: a branch records the depth where
+        // it forked, depths never decrease from the bottom of the
+        // worklist to its top, and each branch's path is therefore the
+        // bottom of the live one.
+        let mut path: VecDeque<(usize, Rc<ExploredEntry>)> = VecDeque::new();
+        let mut base = 0;
+        let mut worklist = vec![(VerifierState::entry(), 0, 0)];
 
-        while let Some((mut state, mut pc, mut trace)) = worklist.pop() {
+        while let Some((mut state, mut pc, depth)) = worklist.pop() {
+            path.truncate(depth - base);
             'path: loop {
                 self.insn_processed += 1;
                 if self.insn_processed > self.opts.insn_limit {
@@ -358,32 +346,23 @@ impl<'a> Verifier<'a> {
                     // fingerprint filter only skips comparisons that
                     // must return false, so the verdict is identical with
                     // the index off.
-                    let mut node = trace.as_ref();
-                    let mut scanned = 0;
-                    let mut candidates = 0;
-                    while let Some(n) = node {
-                        scanned += 1;
-                        if scanned > LOOP_SCAN_WINDOW || candidates >= MAX_LOOP_CANDIDATES {
-                            break;
-                        }
-                        if n.pc == pc {
-                            candidates += 1;
-                            if use_index && !n.visit.shape.may_subsume(&cur_shape) {
-                                self.timings.prune.fingerprint_filtered += 1;
-                            } else {
-                                self.timings.prune.states_equal_calls += 1;
-                                if states_equal(&n.visit.state, &state) {
-                                    self.cov.hit(Cat::Error, 16, 0);
-                                    self.timings.prune_ns += elapsed_ns(prune_t0);
-                                    return Err(VerifierError::invalid(
-                                        RejectReason::BackEdgeLimit,
-                                        pc,
-                                        format!("infinite loop detected at insn {pc}"),
-                                    ));
-                                }
+                    let window = path.iter().rev().take(LOOP_SCAN_WINDOW);
+                    let same_pc = window.filter(|(at, _)| *at == pc);
+                    for (_, earlier) in same_pc.take(MAX_LOOP_CANDIDATES) {
+                        if use_index && !earlier.shape.may_subsume(&cur_shape) {
+                            self.timings.prune.fingerprint_filtered += 1;
+                        } else {
+                            self.timings.prune.states_equal_calls += 1;
+                            if states_equal(&earlier.state, &state) {
+                                self.cov.hit(Cat::Error, 16, 0);
+                                self.timings.prune_ns += elapsed_ns(prune_t0);
+                                return Err(VerifierError::invalid(
+                                    RejectReason::BackEdgeLimit,
+                                    pc,
+                                    format!("infinite loop detected at insn {pc}"),
+                                ));
                             }
                         }
-                        node = n.parent.as_ref();
                     }
 
                     // Explored-state scan. With the index on, only
@@ -415,7 +394,7 @@ impl<'a> Verifier<'a> {
                     }
                     self.cov.hit(Cat::Prune, 0, 0);
                     // One shared visit feeds both the explored index and
-                    // the path trace.
+                    // the path.
                     let visit = Rc::new(ExploredEntry {
                         state: state.clone(),
                         shape: cur_shape,
@@ -423,11 +402,14 @@ impl<'a> Verifier<'a> {
                     if point.insert(Rc::clone(&visit), MAX_STATES_PER_POINT) {
                         self.timings.prune.evictions += 1;
                     }
-                    trace = Some(Rc::new(PathNode {
-                        pc,
-                        visit,
-                        parent: trace.take(),
-                    }));
+                    path.push_back((pc, visit));
+                    // Every later scan starts at or above the shallowest
+                    // pending fork, or at this path's end when no branch
+                    // is pending; a visit a window below that is dead.
+                    let live = worklist.first().map_or(base + path.len(), |&(_, _, d)| d);
+                    let dead = live.saturating_sub(base + LOOP_SCAN_WINDOW);
+                    path.drain(..dead);
+                    base += dead;
                     self.timings.prune_ns += elapsed_ns(prune_t0);
                 }
 
@@ -478,7 +460,11 @@ impl<'a> Verifier<'a> {
                             JumpOutcome::FallthroughOnly => pc += 1,
                             JumpOutcome::JumpOnly => pc = target,
                             JumpOutcome::Both(jump_state) => {
-                                worklist.push((*jump_state, target, trace.clone()));
+                                let depth = base + path.len();
+                                debug_assert!(worklist
+                                    .last()
+                                    .is_none_or(|&(_, _, top)| top <= depth));
+                                worklist.push((*jump_state, target, depth));
                                 pc += 1;
                             }
                         }

@@ -476,6 +476,31 @@ fn unbounded_loop_rejected() {
 }
 
 #[test]
+fn infinite_loop_behind_a_long_sibling_path_is_detected() {
+    // The branch at insn 3 forks right after the first visit of the
+    // loop head (insn 2) and waits while the fall-through makes 300
+    // visits of its own loop, more than the loop detector's window.
+    // Popped, it jumps back to insn 2 in a state the first visit
+    // subsumes, so the loop detector must still hold that visit.
+    let p = Program::from_insns(vec![
+        asm::ldx_mem(Size::W, Reg::R6, Reg::R1, 0),
+        asm::mov64_imm(Reg::R2, 0),
+        asm::mov64_imm(Reg::R0, 0),
+        asm::jmp_imm(JmpOp::Jeq, Reg::R6, 0, 3),
+        asm::alu64_imm(AluOp::Add, Reg::R2, 1),
+        asm::jmp_imm(JmpOp::Jlt, Reg::R2, 300, -2),
+        asm::exit(),
+        asm::ja(-6),
+    ]);
+    rejects(
+        &kernel(),
+        &p,
+        ProgType::SocketFilter,
+        "infinite loop detected at insn 2",
+    );
+}
+
+#[test]
 fn jset_and_range_refinement() {
     // Bound r2 via unsigned comparison then use as map-value offset.
     let p = lookup_prog(vec![
